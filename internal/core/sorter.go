@@ -264,6 +264,11 @@ func (s *Sorter) StatsSnapshot() Stats {
 	}
 }
 
+// LastSearchDepth returns the sequential node reads of the most recent
+// tree search — Stats.TreeLastDepth without the snapshot, for callers
+// that account every operation.
+func (s *Sorter) LastSearchDepth() int { return s.tree.Stats().LastDepth }
+
 // ResetStats zeroes all traffic counters.
 func (s *Sorter) ResetStats() {
 	s.inserts, s.extracts, s.combined = 0, 0, 0

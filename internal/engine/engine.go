@@ -1052,14 +1052,11 @@ func (e *Engine) StatsSnapshot() Stats {
 		st.SorterLen += st.LaneLens[i]
 		st.ServedOccupied += lw.served.Len()
 		laneInserts[i] = led.Inserted
-		if m := lw.mirror.Load(); m != nil {
-			st.FabricLanes[i] = LaneFabricStats{Lane: i, Regions: m.fabric}
-			st.SumLaneCycles += m.cycles
-			if m.cycles > st.MaxLaneCycles {
-				st.MaxLaneCycles = m.cycles
-			}
-		} else {
-			st.FabricLanes[i] = LaneFabricStats{Lane: i}
+		cycles, fabric := lw.mirror.read()
+		st.FabricLanes[i] = LaneFabricStats{Lane: i, Regions: fabric}
+		st.SumLaneCycles += cycles
+		if cycles > st.MaxLaneCycles {
+			st.MaxLaneCycles = cycles
 		}
 	}
 	st.LaneLoad = metrics.LaneLoad(laneInserts)

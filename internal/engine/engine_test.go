@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,8 @@ import (
 	"wfqsort/internal/aqm"
 	"wfqsort/internal/fault"
 	"wfqsort/internal/membus"
+	"wfqsort/internal/metrics"
+	"wfqsort/internal/raceflag"
 	"wfqsort/internal/supervisor"
 )
 
@@ -360,6 +363,27 @@ func TestFaultContainment(t *testing.T) {
 	t.Logf("recoveries=%d faultLost=%d extracted=%d", st.Recoveries, st.FaultLost, st.Extracted)
 }
 
+// TestMirrorRefreshZeroAlloc: a lane refreshes its gauge mirror every
+// few passes and on every idle pass, so the refresh reuses the mirror's
+// storage — no allocation per pass.
+func TestMirrorRefreshZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e, err := New(Config{Lanes: 2, LaneCapacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw := e.lanes[0] // not started: this goroutine stands in for the lane's
+	lw.updateMirror()
+	if avg := testing.AllocsPerRun(100, lw.updateMirror); avg != 0 {
+		t.Fatalf("mirror refresh allocates %.2f objects, want 0", avg)
+	}
+	if _, fabric := lw.mirror.read(); len(fabric) == 0 {
+		t.Fatal("mirror holds no fabric regions")
+	}
+}
+
 // TestStatsSnapshotGauges checks the observability mirror: lane gauges,
 // fabric pressure, and the modeled-hardware view are populated.
 func TestStatsSnapshotGauges(t *testing.T) {
@@ -394,6 +418,24 @@ func TestStatsSnapshotGauges(t *testing.T) {
 	}
 	if st.ModeledMpps <= 0 {
 		t.Fatalf("modeled throughput missing: %+v", st)
+	}
+	// After Stop the mirror is exact: the lanes have exited, so their
+	// clocks and counters can be read here.
+	for i, fl := range st.FabricLanes {
+		if want := metrics.FabricPressure(nil, e.sorter.LaneFabric(i)); !slices.Equal(fl.Regions, want) {
+			t.Fatalf("lane %d: mirror %+v, fabric %+v", i, fl.Regions, want)
+		}
+	}
+	var sum, max uint64
+	for i := 0; i < st.Lanes; i++ {
+		c := e.sorter.LaneClock(i).Now()
+		sum += c
+		if c > max {
+			max = c
+		}
+	}
+	if st.SumLaneCycles != sum || st.MaxLaneCycles != max {
+		t.Fatalf("after Stop: mirror cycles sum %d max %d, lane clocks sum %d max %d", st.SumLaneCycles, st.MaxLaneCycles, sum, max)
 	}
 	if st.Policy != "block" {
 		t.Fatalf("policy label %q", st.Policy)

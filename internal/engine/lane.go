@@ -29,11 +29,21 @@ type laneShard struct {
 	r  *ring.SPSC[item]
 }
 
-// laneMirror is the lane's modelled-hardware gauge snapshot, published
-// by the lane goroutine for StatsSnapshot readers.
+// laneMirror is the lane's modelled-hardware gauge snapshot, refreshed
+// in place by the lane goroutine and copied out by StatsSnapshot
+// readers. The lane refreshes it every few passes, so the refresh must
+// not allocate; mu is held only for the copy in or out.
 type laneMirror struct {
+	mu     sync.Mutex
 	cycles uint64
 	fabric []metrics.PortPressure
+}
+
+// read returns a copy of the mirrored gauges.
+func (m *laneMirror) read() (cycles uint64, fabric []metrics.PortPressure) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.cycles, append([]metrics.PortPressure(nil), m.fabric...)
 }
 
 // laneWorker is one lane's datapath state. Fields below the atomics
@@ -102,7 +112,7 @@ type laneWorker struct {
 	maxBatch     atomic.Int64
 	sorterLen    atomic.Int64
 	doneFlag     atomic.Bool
-	mirror       atomic.Pointer[laneMirror]
+	mirror       laneMirror
 }
 
 func newLaneWorker(e *Engine, idx int) *laneWorker {
@@ -294,10 +304,11 @@ func (lw *laneWorker) sweepOrphanSlots() int {
 
 // updateMirror publishes the lane's modelled-hardware gauges.
 func (lw *laneWorker) updateMirror() {
-	lw.mirror.Store(&laneMirror{
-		cycles: lw.e.sorter.LaneClock(lw.idx).Now(),
-		fabric: metrics.FabricPressure(lw.e.sorter.LaneFabric(lw.idx)),
-	})
+	m := &lw.mirror
+	m.mu.Lock()
+	m.cycles = lw.e.sorter.LaneClock(lw.idx).Now()
+	m.fabric = metrics.FabricPressure(m.fabric[:0], lw.e.sorter.LaneFabric(lw.idx))
+	m.mu.Unlock()
 }
 
 // laneLoop is lane i's datapath goroutine: ingest from the shard rings

@@ -24,11 +24,14 @@
 // cycle its bank port is free — and EndWindow advances the clock by the
 // schedule's span.
 //
-// The fabric keeps a preallocated ring of access records instead of
-// per-access closures: the hot path allocates nothing, the fault layer
-// interposes through the Observer seam (called synchronously with a
-// record that carries bank/port/cycle coordinates), and the metrics
-// layer drains the ring or the per-bank counters after the fact.
+// Observation is paid for by the observer only. An access charges the
+// clock, its bank port and the region and bank counters, and nothing
+// else; the fault layer interposes through the Observer seam, and only
+// while an observer is attached does the fabric fill one reusable
+// record with the access's bank/port/cycle coordinates and hand it
+// over synchronously. The metrics layer reads the counters after the
+// fact; a trace consumer is an Observer (chained through
+// Fabric.Observer when the seam is already occupied).
 package membus
 
 import (
@@ -140,8 +143,8 @@ type BankStats struct {
 }
 
 // Access is one functional memory access as scheduled by the arbiter.
-// Records live in the fabric's preallocated ring; a pointer passed to
-// an Observer is valid only for the duration of the call.
+// The fabric reuses one record for every access it offers: a pointer
+// passed to an Observer is valid only for the duration of the call.
 type Access struct {
 	Region *Region
 	Addr   int
@@ -153,7 +156,8 @@ type Access struct {
 	Cycle uint64
 	// Stall is how many cycles the access waited for its port.
 	Stall uint64
-	// Seq is the fabric-wide access sequence number (1-based).
+	// Seq is the fabric-wide access sequence number (1-based). It
+	// counts every access, observed or not, register regions included.
 	Seq uint64
 }
 
@@ -170,10 +174,6 @@ type Observer interface {
 	AfterWrite(r *Region, a *Access) error
 }
 
-// ringSize is the capacity of the fabric's preallocated access-record
-// ring (most-recent accesses retained for trace draining).
-const ringSize = 512
-
 // Fabric is one clock domain's memory fabric. Not safe for concurrent
 // use: like the circuits above it, it models a single synchronous
 // pipeline.
@@ -182,9 +182,8 @@ type Fabric struct {
 	regions []*Region
 	byName  map[string]*Region
 	obs     Observer
-	ring    [ringSize]Access
-	ringLen int // records written, capped at ringSize
-	seq     uint64
+	rec     Access // the record offered to obs, refilled per observed access
+	seq     uint64 // accesses scheduled so far
 }
 
 // New builds an empty fabric over the given clock domain. A nil clock
@@ -254,6 +253,10 @@ func (f *Fabric) Provision(cfg RegionConfig) (*Region, error) {
 		words: make([]uint64, cfg.Depth),
 		banks: make([]bankState, cfg.Banks),
 	}
+	r.bankMask = -1
+	if cfg.Banks&(cfg.Banks-1) == 0 {
+		r.bankMask = cfg.Banks - 1
+	}
 	r.port.r = r
 	f.regions = append(f.regions, r)
 	f.byName[cfg.Name] = r
@@ -269,6 +272,13 @@ func (f *Fabric) Regions() []*Region {
 	copy(out, f.regions)
 	return out
 }
+
+// NumRegions returns how many regions are provisioned; with RegionAt
+// it walks them in provisioning order without copying the list.
+func (f *Fabric) NumRegions() int { return len(f.regions) }
+
+// RegionAt returns the i-th region in provisioning order.
+func (f *Fabric) RegionAt(i int) *Region { return f.regions[i] }
 
 // StatsSnapshot aggregates traffic and arbitration counters over all
 // regions.
@@ -293,36 +303,6 @@ func (f *Fabric) ResetStats() {
 	}
 }
 
-// Trace copies the most recent access records into buf (oldest first)
-// and returns the filled prefix. Passing a preallocated buffer makes
-// draining allocation-free.
-func (f *Fabric) Trace(buf []Access) []Access {
-	n := f.ringLen
-	if n > ringSize {
-		n = ringSize
-	}
-	if n > len(buf) {
-		n = len(buf)
-	}
-	start := f.ringLen - n
-	for i := 0; i < n; i++ {
-		buf[i] = f.ring[(start+i)%ringSize]
-	}
-	return buf[:n]
-}
-
-// record writes the next access record into the ring and returns it.
-func (f *Fabric) record(r *Region, addr, bank, port int, write bool, cycle, stall uint64) *Access {
-	f.seq++
-	a := &f.ring[f.ringLen%ringSize]
-	f.ringLen++
-	if f.ringLen >= 2*ringSize {
-		f.ringLen -= ringSize // keep the cursor bounded without losing ring fullness
-	}
-	*a = Access{Region: r, Addr: addr, Bank: bank, Port: port, Write: write, Cycle: cycle, Stall: stall, Seq: f.seq}
-	return a
-}
-
 // bankState tracks one bank's two port schedules and counters.
 type bankState struct {
 	freeAt [2]uint64 // cycle at which each port is next free
@@ -338,8 +318,11 @@ type Region struct {
 	mask  uint64
 	words []uint64
 	banks []bankState
-	stats Stats
-	port  Port
+	// bankMask is Banks-1 when the bank count is a power of two (one
+	// bank included), so the bank is selected by a mask; -1 otherwise.
+	bankMask int
+	stats    Stats
+	port     Port
 
 	windowActive bool
 	windowBase   uint64
@@ -429,11 +412,16 @@ func (r *Region) checkAddr(op string, addr int) error {
 	return nil
 }
 
-// schedule arbitrates one access onto its bank port and returns the
-// ring record. It charges the clock in sequential mode; in window mode
-// the clock is charged collectively by EndWindow.
+// schedule arbitrates one access onto its bank port. It charges the
+// clock in sequential mode; in window mode the clock is charged
+// collectively by EndWindow. It returns the access record to offer to
+// the fabric's observer, or nil when nobody observes this access (no
+// observer attached, or a register region).
 func (r *Region) schedule(addr int, write bool) *Access {
-	bank := addr % len(r.banks)
+	bank := addr & r.bankMask
+	if r.bankMask < 0 {
+		bank = addr % len(r.banks)
+	}
 	b := &r.banks[bank]
 	port := PortA
 	if write && r.cfg.Ports == PortSplit {
@@ -482,7 +470,13 @@ func (r *Region) schedule(addr int, write bool) *Access {
 	if stall > 0 {
 		r.stats.Conflicts++
 	}
-	return r.f.record(r, addr, bank, port, write, start, stall)
+	f := r.f
+	f.seq++
+	if f.obs == nil || r.cfg.Register {
+		return nil
+	}
+	f.rec = Access{Region: r, Addr: addr, Bank: bank, Port: port, Write: write, Cycle: start, Stall: stall, Seq: f.seq}
+	return &f.rec
 }
 
 // Peek returns the word at addr without counting an access — the
@@ -539,13 +533,12 @@ func (p *Port) Read(addr int) (uint64, error) {
 		return 0, err
 	}
 	a := r.schedule(addr, false)
-	var xor uint64
-	if r.f.obs != nil && !r.cfg.Register {
-		x, err := r.f.obs.Observe(r, a)
-		if err != nil {
-			return 0, err
-		}
-		xor = x
+	if a == nil {
+		return r.words[addr], nil
+	}
+	xor, err := r.f.obs.Observe(r, a)
+	if err != nil {
+		return 0, err
 	}
 	return r.words[addr] ^ xor, nil
 }
@@ -557,16 +550,15 @@ func (p *Port) Write(addr int, val uint64) error {
 		return err
 	}
 	a := r.schedule(addr, true)
-	if r.f.obs != nil && !r.cfg.Register {
-		if _, err := r.f.obs.Observe(r, a); err != nil {
-			return err
-		}
+	if a == nil {
+		r.words[addr] = val & r.mask
+		return nil
+	}
+	// The observer that saw the access also sees its completion.
+	obs := r.f.obs
+	if _, err := obs.Observe(r, a); err != nil {
+		return err
 	}
 	r.words[addr] = val & r.mask
-	if r.f.obs != nil && !r.cfg.Register {
-		if err := r.f.obs.AfterWrite(r, a); err != nil {
-			return err
-		}
-	}
-	return nil
+	return obs.AfterWrite(r, a)
 }

@@ -388,41 +388,125 @@ func TestObserverSkipsRegisterRegions(t *testing.T) {
 	}
 }
 
-func TestTraceRingDrain(t *testing.T) {
-	f := New(nil)
-	r := mustRegion(t, f, RegionConfig{Name: "m", Depth: 8, WordBits: 8})
-	p := r.Port()
-	for i := 0; i < 5; i++ {
-		if err := p.Write(i, uint64(i)); err != nil {
+// TestObserverContract pins what the ring-less fabric owes an observer:
+// the sequence number counts every access whether or not anyone looked,
+// the one reusable record carries correct bank/port/cycle/stall
+// coordinates in both access regimes and both port modes, register
+// regions are never offered, and detaching stops records being filled.
+func TestObserverContract(t *testing.T) {
+	clk := &hwsim.Clock{}
+	f := New(clk)
+	shared := mustRegion(t, f, RegionConfig{Name: "shared", Depth: 16, WordBits: 8, Banks: 4})
+	split := mustRegion(t, f, RegionConfig{Name: "split", Depth: 16, WordBits: 8, Banks: 2, Ports: PortSplit})
+	odd := mustRegion(t, f, RegionConfig{Name: "odd", Depth: 9, WordBits: 8, Banks: 3, ReadCycles: 2})
+	regs := mustRegion(t, f, RegionConfig{Name: "regs", Depth: 4, WordBits: 8, Register: true})
+	rd := func(r *Region, addr int) {
+		t.Helper()
+		if _, err := r.Port().Read(addr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	buf := make([]Access, 16)
-	got := f.Trace(buf)
-	if len(got) != 5 {
-		t.Fatalf("trace holds %d records, want 5", len(got))
-	}
-	for i, a := range got {
-		if a.Addr != i || !a.Write || a.Seq != uint64(i+1) {
-			t.Fatalf("record %d = %+v, want write of addr %d seq %d", i, a, i, i+1)
-		}
-	}
-	// Overflow the ring and check the oldest records are evicted.
-	for i := 0; i < ringSize+3; i++ {
-		if _, err := p.Read(i % 8); err != nil {
+	wr := func(r *Region, addr int) {
+		t.Helper()
+		if err := r.Port().Write(addr, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	full := f.Trace(make([]Access, ringSize))
-	if len(full) != ringSize {
-		t.Fatalf("full trace holds %d, want %d", len(full), ringSize)
+
+	// N unobserved accesses, register accesses among them.
+	const n = 7
+	for i := 0; i < n-2; i++ {
+		wr(shared, i)
 	}
-	wantLastSeq := uint64(5 + ringSize + 3)
-	if full[len(full)-1].Seq != wantLastSeq {
-		t.Fatalf("newest record seq %d, want %d", full[len(full)-1].Seq, wantLastSeq)
+	wr(regs, 0)
+	rd(regs, 0)
+	if f.rec != (Access{}) {
+		t.Fatalf("record %+v filled with no observer attached", f.rec)
 	}
-	if full[0].Seq != wantLastSeq-ringSize+1 {
-		t.Fatalf("oldest record seq %d, want %d", full[0].Seq, wantLastSeq-ringSize+1)
+
+	obs := &traceObserver{}
+	f.SetObserver(obs)
+	base := clk.Now() // 5: register accesses are free
+
+	// Sequential mode: each access starts at the clock and never stalls.
+	rd(shared, 6) // bank 2 by mask
+	rd(regs, 1)   // counted in Seq, not offered
+	wr(split, 3)  // bank 1, write port
+	rd(odd, 5)    // bank 2 by modulo, two cycles
+	want := []Access{
+		{Region: shared, Addr: 6, Bank: 2, Port: PortA, Cycle: base, Seq: n + 1},
+		{Region: split, Addr: 3, Bank: 1, Port: PortB, Write: true, Cycle: base + 1, Seq: n + 3},
+		{Region: odd, Addr: 5, Bank: 2, Port: PortA, Cycle: base + 2, Seq: n + 4},
+	}
+	if len(obs.seen) != len(want) {
+		t.Fatalf("observer saw %d accesses, want %d (register region offered?)", len(obs.seen), len(want))
+	}
+	for i, w := range want {
+		if obs.seen[i] != w {
+			t.Fatalf("sequential record %d = %+v, want %+v", i, obs.seen[i], w)
+		}
+	}
+	if obs.afterWrite != 1 {
+		t.Fatalf("%d write completions, want 1", obs.afterWrite)
+	}
+
+	// Windowed, shared ports: same-bank accesses serialize on port A and
+	// the wait shows as Stall; another bank starts at the window base.
+	obs.seen = obs.seen[:0]
+	base = clk.Now()
+	shared.BeginWindow()
+	rd(shared, 1)
+	wr(shared, 5) // bank 1 again: waits one cycle
+	rd(shared, 2) // bank 2: free
+	if span := shared.EndWindow(); span != 2 {
+		t.Fatalf("shared window spanned %d cycles, want 2", span)
+	}
+	// Windowed, split ports: a read and a write to one bank share a
+	// cycle on ports A and B; a second write waits for port B.
+	split.BeginWindow()
+	rd(split, 2)
+	wr(split, 4)
+	wr(split, 6)
+	if span := split.EndWindow(); span != 2 {
+		t.Fatalf("split window spanned %d cycles, want 2", span)
+	}
+	seq := uint64(n + 4)
+	want = []Access{
+		{Region: shared, Addr: 1, Bank: 1, Port: PortA, Cycle: base},
+		{Region: shared, Addr: 5, Bank: 1, Port: PortA, Write: true, Cycle: base + 1, Stall: 1},
+		{Region: shared, Addr: 2, Bank: 2, Port: PortA, Cycle: base},
+		{Region: split, Addr: 2, Bank: 0, Port: PortA, Cycle: base + 2},
+		{Region: split, Addr: 4, Bank: 0, Port: PortB, Write: true, Cycle: base + 2},
+		{Region: split, Addr: 6, Bank: 0, Port: PortB, Write: true, Cycle: base + 3, Stall: 1},
+	}
+	if len(obs.seen) != len(want) {
+		t.Fatalf("observer saw %d windowed accesses, want %d", len(obs.seen), len(want))
+	}
+	for i, w := range want {
+		seq++
+		w.Seq = seq
+		if obs.seen[i] != w {
+			t.Fatalf("windowed record %d = %+v, want %+v", i, obs.seen[i], w)
+		}
+	}
+
+	// Detached: accesses are still counted, nobody is called, and the
+	// record is left alone.
+	f.SetObserver(nil)
+	last := f.rec
+	seen := len(obs.seen)
+	rd(shared, 0)
+	wr(split, 1)
+	if len(obs.seen) != seen || f.rec != last {
+		t.Fatal("detached observer was still offered accesses")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rd(odd, 4); wr(shared, 3) }); allocs != 0 {
+		t.Fatalf("unobserved access allocates %v objects", allocs)
+	}
+	f.SetObserver(obs)
+	rd(shared, 0)
+	if got, want := obs.seen[len(obs.seen)-1].Seq, seq+2+2*101+1; got != want {
+		t.Fatalf("re-attached observer saw seq %d, want %d", got, want)
 	}
 }
 

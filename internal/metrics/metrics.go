@@ -310,15 +310,16 @@ func RegionPressure(name string, s membus.Stats) PortPressure {
 	return p
 }
 
-// FabricPressure computes RegionPressure for every region of a fabric,
-// in the fabric's deterministic region order.
-func FabricPressure(fab *membus.Fabric) []PortPressure {
-	regions := fab.Regions()
-	out := make([]PortPressure, 0, len(regions))
-	for _, r := range regions {
-		out = append(out, RegionPressure(r.Name(), r.StatsSnapshot()))
+// FabricPressure appends RegionPressure for every region of a fabric to
+// dst, in the fabric's deterministic region order, and returns the
+// extended slice. A caller that refreshes a gauge set periodically
+// passes last time's slice cut to dst[:0] and allocates nothing.
+func FabricPressure(dst []PortPressure, fab *membus.Fabric) []PortPressure {
+	for i, n := 0, fab.NumRegions(); i < n; i++ {
+		r := fab.RegionAt(i)
+		dst = append(dst, RegionPressure(r.Name(), r.StatsSnapshot()))
 	}
-	return out
+	return dst
 }
 
 // Inversions counts adjacent-pair service-order violations: the number of

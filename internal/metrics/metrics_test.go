@@ -289,7 +289,7 @@ func TestBankAndPortGauges(t *testing.T) {
 	if pp.Conflicts != 0 || pp.StallFrac != 0 || pp.ConflictRate != 0 {
 		t.Fatalf("sequential traffic must be stall-free: %+v", pp)
 	}
-	all := FabricPressure(fab)
+	all := FabricPressure(nil, fab)
 	if len(all) != 1 || all[0].Region != "gauge-mem" {
 		t.Fatalf("fabric pressure: %+v", all)
 	}

@@ -334,7 +334,7 @@ func (m *MultiBitTree) Remove(tag, payload int) (bool, error) {
 	if err != nil || !found {
 		return found, err
 	}
-	d := uint64(m.sorter.StatsSnapshot().TreeLastDepth) + 2
+	d := uint64(m.sorter.LastSearchDepth()) + 2
 	m.recordRemove(d)
 	return true, nil
 }
@@ -347,7 +347,7 @@ func (m *MultiBitTree) Rerank(tag, payload, newTag int) (bool, error) {
 	if err != nil || !found {
 		return found, err
 	}
-	depth := uint64(m.sorter.StatsSnapshot().TreeLastDepth)
+	depth := uint64(m.sorter.LastSearchDepth())
 	m.recordRemove(depth + 2)
 	m.stats.Inserts++
 	m.stats.InsertAccesses += depth + 1
@@ -375,7 +375,7 @@ func (q *Sharded) Remove(tag, payload int) (bool, error) {
 	if err != nil || !found {
 		return found, err
 	}
-	d := uint64(lane.StatsSnapshot().TreeLastDepth) + 2
+	d := uint64(lane.LastSearchDepth()) + 2
 	q.recordRemove(d)
 	return true, nil
 }
@@ -391,8 +391,8 @@ func (q *Sharded) Rerank(tag, payload, newTag int) (bool, error) {
 	if err != nil || !found {
 		return found, err
 	}
-	q.recordRemove(uint64(src.StatsSnapshot().TreeLastDepth) + 2)
-	di := uint64(dst.StatsSnapshot().TreeLastDepth) + 1
+	q.recordRemove(uint64(src.LastSearchDepth()) + 2)
+	di := uint64(dst.LastSearchDepth()) + 1
 	q.stats.Inserts++
 	q.stats.InsertAccesses += di
 	if di > q.stats.WorstInsert {

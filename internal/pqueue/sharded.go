@@ -63,7 +63,7 @@ func (q *Sharded) Insert(tag, payload int) error {
 	if err := q.s.Insert(tag, payload); err != nil {
 		return err
 	}
-	d := uint64(lane.StatsSnapshot().TreeLastDepth) + 1
+	d := uint64(lane.LastSearchDepth()) + 1
 	q.stats.Inserts++
 	q.stats.InsertAccesses += d
 	if d > q.stats.WorstInsert {
@@ -81,7 +81,7 @@ func (q *Sharded) ExtractMin() (Entry, error) {
 		}
 		return Entry{}, err
 	}
-	d := 1 + uint64(q.s.StatsSnapshot().SelectDepth)
+	d := 1 + uint64(q.s.SelectDepth())
 	q.stats.Extracts++
 	q.stats.ExtractAccesses += d
 	if d > q.stats.WorstExtract {

@@ -203,7 +203,7 @@ func (m *MultiBitTree) Insert(tag, payload int) error {
 	// Sequential cost: the tree search's node reads (one per level; the
 	// backup path runs in parallel banks) plus one translation-table
 	// read to resolve the insert position.
-	d := uint64(m.sorter.StatsSnapshot().TreeLastDepth) + 1
+	d := uint64(m.sorter.LastSearchDepth()) + 1
 	m.stats.Inserts++
 	m.stats.InsertAccesses += d
 	if d > m.stats.WorstInsert {

@@ -268,6 +268,7 @@ type Scheduler struct {
 	sorter *core.Sorter
 	buffer *packet.Buffer
 	red    *aqm.RED
+	live   liveTags
 }
 
 // Validate checks the configuration and normalizes documented
@@ -391,7 +392,8 @@ func New(cfg Config) (*Scheduler, error) {
 	default:
 		return nil, fmt.Errorf("scheduler: unknown overload policy %d", int(cfg.OnFull))
 	}
-	return &Scheduler{cfg: cfg, tagger: tg, quant: quant, sorter: sorter, buffer: buffer, red: red}, nil
+	return &Scheduler{cfg: cfg, tagger: tg, quant: quant, sorter: sorter, buffer: buffer, red: red,
+		live: newLiveTags(cfg.BufferSlots)}, nil
 }
 
 // Granularity returns the active quantization step.
@@ -425,6 +427,9 @@ func (s *Scheduler) SupportedLineRate(meanPacketBytes float64) float64 {
 // Run simulates the datapath over an arrival trace, serving the output
 // link at the configured capacity.
 func (s *Scheduler) Run(arrivals []packet.Packet) (*Result, error) {
+	if err := checkPacketIDs(arrivals); err != nil {
+		return nil, err
+	}
 	arr := make([]packet.Packet, len(arrivals))
 	copy(arr, arrivals)
 	sort.SliceStable(arr, func(i, j int) bool { return arr[i].Arrival < arr[j].Arrival })
@@ -435,7 +440,8 @@ func (s *Scheduler) Run(arrivals []packet.Packet) (*Result, error) {
 		Departures:    make([]schedulers.Departure, 0, len(arr)),
 	}
 	minLiveF := 0.0 // smallest finishing tag still in the sorter
-	liveF := map[int]float64{}
+	live := &s.live
+	live.reset()
 
 	cyc := func() uint64 {
 		if s.cfg.Clock != nil {
@@ -455,9 +461,7 @@ func (s *Scheduler) Run(arrivals []packet.Packet) (*Result, error) {
 			}
 		}
 		s.buffer.Reset()
-		for id := range liveF {
-			delete(liveF, id)
-		}
+		live.reset()
 		minLiveF = 0
 		rec.Action = "flush"
 		rec.Lost = lost
@@ -559,7 +563,7 @@ func (s *Scheduler) Run(arrivals []packet.Packet) (*Result, error) {
 		if s.sorter.Len() == 1 || fUsed < minLiveF {
 			minLiveF = fUsed
 		}
-		liveF[p.ID] = fUsed
+		live.add(slot, fUsed)
 		return nil
 	}
 
@@ -594,15 +598,9 @@ func (s *Scheduler) Run(arrivals []packet.Packet) (*Result, error) {
 			s.red.Depart()
 		}
 		s.tagger.serve(res.ExactTags[p.ID])
-		delete(liveF, p.ID)
 		// Track the live minimum for the quantizer's window bookkeeping.
-		minLiveF = 0
-		first := true
-		for _, f := range liveF {
-			if first || f < minLiveF {
-				minLiveF, first = f, false
-			}
-		}
+		live.remove(e.Payload)
+		minLiveF = live.min()
 		finish := now + p.Bits()/s.cfg.CapacityBps
 		return schedulers.Departure{Packet: p, Start: now, Finish: finish}, nil
 	}
@@ -655,6 +653,24 @@ func (s *Scheduler) Run(arrivals []packet.Packet) (*Result, error) {
 	res.PeakBuffer = s.buffer.PeakUsed()
 	res.Windows = res.Sorter.ListWindows
 	return res, nil
+}
+
+// checkPacketIDs rejects a trace whose packet IDs cannot index the
+// per-packet tag tables: Result.ExactTags and QuantizedTags hold one
+// entry per arrival, so IDs must be distinct and in [0, len(arrivals)).
+// Traces arrive from files (wfqtrace -in), so this is input validation.
+func checkPacketIDs(arrivals []packet.Packet) error {
+	seen := make([]bool, len(arrivals))
+	for i, p := range arrivals {
+		if p.ID < 0 || p.ID >= len(arrivals) {
+			return fmt.Errorf("scheduler: arrival %d: packet id %d outside [0,%d)", i, p.ID, len(arrivals))
+		}
+		if seen[p.ID] {
+			return fmt.Errorf("scheduler: arrival %d: packet id %d used twice", i, p.ID)
+		}
+		seen[p.ID] = true
+	}
+	return nil
 }
 
 func countInversions(keys []float64) int64 {

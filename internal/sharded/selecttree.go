@@ -15,16 +15,18 @@ type headEntry struct {
 // in the lane count, not the occupancy.
 type selectTree struct {
 	size     int         // leaves, padded to a power of two
+	levels   int         // comparator levels between a leaf and the root
 	nodes    []headEntry // 1-based tournament; leaves occupy [size, 2*size)
 	compares uint64      // comparator evaluations (the fixed-time claim, measurable)
 }
 
 func newSelectTree(lanes int) *selectTree {
-	size := 1
+	size, levels := 1, 0
 	for size < lanes {
 		size <<= 1
+		levels++
 	}
-	t := &selectTree{size: size, nodes: make([]headEntry, 2*size)}
+	t := &selectTree{size: size, levels: levels, nodes: make([]headEntry, 2*size)}
 	for i := range t.nodes {
 		t.nodes[i] = headEntry{lane: -1}
 	}
@@ -70,12 +72,3 @@ func (t *selectTree) update(lane, tag int, valid bool) {
 
 // min returns the current winner (valid=false when every lane is empty).
 func (t *selectTree) min() headEntry { return t.nodes[1] }
-
-// depth returns the comparator levels between a leaf and the root.
-func (t *selectTree) depth() int {
-	d := 0
-	for s := t.size; s > 1; s >>= 1 {
-		d++
-	}
-	return d
-}

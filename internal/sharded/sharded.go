@@ -220,6 +220,11 @@ func New(cfg Config) (*ShardedSorter, error) {
 // Lanes returns the lane count.
 func (s *ShardedSorter) Lanes() int { return len(s.lanes) }
 
+// SelectDepth returns the select tree's comparator levels between a
+// lane head and the root (log₂ lanes) — Stats.SelectDepth without the
+// snapshot.
+func (s *ShardedSorter) SelectDepth() int { return s.tree.levels }
+
 // Partition returns the configured tag-space split.
 func (s *ShardedSorter) Partition() Partition { return s.cfg.Partition }
 
@@ -638,7 +643,7 @@ func (s *ShardedSorter) StatsSnapshot() Stats {
 		Combined:       s.combined,
 		Batches:        s.batches,
 		SelectCompares: s.tree.compares,
-		SelectDepth:    s.tree.depth(),
+		SelectDepth:    s.tree.levels,
 		LaneLens:       make([]int, len(s.lanes)),
 		LaneInserts:    make([]uint64, len(s.lanes)),
 		LaneExtracts:   make([]uint64, len(s.lanes)),
