@@ -176,8 +176,8 @@ const (
 type laneResult struct {
 	Lanes int `json:"lanes"`
 
-	// Wall-clock software throughput of the simulator. On a single-CPU
-	// host the lane goroutines serialize, so this does NOT show the
+	// Wall-clock software throughput of the simulator. The sharded
+	// sorter runs its lanes on one goroutine, so this does NOT show the
 	// hardware's lane parallelism — ModelSpeedup does.
 	WallOpsPerSec float64 `json:"wall_ops_per_sec"`
 	P99ExtractNs  float64 `json:"p99_extract_ns"`

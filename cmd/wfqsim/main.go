@@ -22,6 +22,7 @@ import (
 	"wfqsort/internal/packet"
 	"wfqsort/internal/pipeline"
 	"wfqsort/internal/police"
+	"wfqsort/internal/rank"
 	"wfqsort/internal/scheduler"
 	"wfqsort/internal/schedulers"
 	"wfqsort/internal/taglist"
@@ -49,21 +50,25 @@ func run() error {
 	dumpPath = *dump
 	showHist = *hist
 
-	var alg scheduler.Algorithm
+	var prog rank.Program
+	var err error
 	switch *algorithm {
 	case "wfq":
-		alg = scheduler.AlgWFQ
+		prog, err = rank.NewWFQ(linerateWeights, *capacity)
 	case "scfq":
-		alg = scheduler.AlgSCFQ
+		prog, err = rank.NewSCFQ(linerateWeights, *capacity)
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algorithm)
+	}
+	if err != nil {
+		return err
 	}
 
 	switch *experiment {
 	case "fairness":
 		return fairness(*count, *capacity, *seed)
 	case "linerate":
-		return linerate(*count, *capacity, *seed, alg)
+		return linerate(*count, *capacity, *seed, prog)
 	case "wrap":
 		return wraparound(*count, *capacity)
 	case "memtech":
@@ -302,11 +307,14 @@ var histograms []string
 // showHist toggles histogram output for the fairness experiment.
 var showHist bool
 
-func linerate(count int, capacity float64, seed int64, alg scheduler.Algorithm) error {
+// linerateWeights are the session weights of the linerate experiment.
+var linerateWeights = []float64{0.2, 0.4, 0.2, 0.2}
+
+func linerate(count int, capacity float64, seed int64, prog rank.Program) error {
 	s, err := scheduler.New(scheduler.Config{
-		Weights:     []float64{0.2, 0.4, 0.2, 0.2},
+		Weights:     linerateWeights,
 		CapacityBps: capacity,
-		Algorithm:   alg,
+		Program:     prog,
 	})
 	if err != nil {
 		return err

@@ -1,24 +1,19 @@
 package clocked
 
-// AuditScan walks memory from an audit file: the functional Read here
-// is charged to the clock and perturbs the audited run's accounting.
-func (e *Engine) AuditScan() (uint64, error) {
-	return e.store.Read(0) // want `Read issues clock-charged Store traffic from audit file audit.go`
+// AuditPortScan walks memory through the fabric port from an audit
+// file: the functional Read is scheduled by the arbiter and charged to
+// the clock, perturbing the audited run's accounting.
+func (e *Engine) AuditPortScan() (uint64, error) {
+	return e.port.Read(0) // want `Read issues clock-charged membus\.Port traffic from audit file audit.go`
 }
 
 // AuditRepairWrite repairs through the functional port from an audit
 // file, also flagged.
 func (e *Engine) AuditRepairWrite(addr int, w uint64) error {
-	return e.store.Write(addr, w) // want `Write issues clock-charged Store traffic from audit file audit.go`
+	return e.port.Write(addr, w) // want `Write issues clock-charged membus\.Port traffic from audit file audit.go`
 }
 
-// AuditPortScan walks memory through the fabric port from an audit
-// file: scheduled by the arbiter, charged to the clock, also flagged.
-func (e *Engine) AuditPortScan() (uint64, error) {
-	return e.port.Read(0) // want `Read issues clock-charged membus\.Port traffic from audit file audit.go`
-}
-
-// AuditComposite calls higher-level operations; only direct Store
+// AuditComposite calls higher-level operations; only direct Port
 // traffic is flagged, so this is the false-positive guard (recovery
 // engines like Rebuild legitimately pay functional cost through
 // package APIs).

@@ -1,16 +1,14 @@
 // Package storeseam enforces the memory-seam invariant of the hardware
-// model: functional datapath code must address memory exclusively
-// through the hwsim.Store interface, never through the raw *hwsim.SRAM
-// or *hwsim.RegisterFile handles, and never through the Peek/Poke debug
-// ports outside audit/debug files.
+// model: functional datapath code reaches a membus.Region only through
+// its *membus.Port, never through the region's Peek/Poke debug ports
+// outside audit/debug files.
 //
-// The Store seam is what makes the fault-injection and integrity-audit
-// subsystem possible: the membus fabric observer interposes on every
-// functional access so it can be observed or corrupted. A Read or Write
-// issued on the raw SRAM handle silently bypasses the injector (the
-// fault campaign under-covers that path), and a Peek on a functional
-// path dodges both the access counters and the clock — the paper's
-// cycle/access guarantees stop being measured. Audit and debug code is
+// The port is what makes the fabric's guarantees hold: every access
+// that goes through it is scheduled by the per-cycle bank/port arbiter,
+// counted in the region and bank statistics, charged to the clock, and
+// offered to the fault observer. A Peek on a functional path dodges all
+// four — the paper's cycle/access guarantees stop being measured and
+// the fault campaign under-covers that path. Audit and debug code is
 // the deliberate exception: scrub engines observe the physical array
 // through Peek precisely so they do not perturb the traffic accounting,
 // which is why Peek is legal only in audit*/debug*/dump* files.
@@ -24,9 +22,9 @@ import (
 	"wfqsort/internal/analysis"
 )
 
-// HwsimPath is the import path of the hardware-model package whose
-// types define the seam.
-const HwsimPath = "wfqsort/internal/hwsim"
+// MembusPath is the import path of the memory fabric whose Region
+// carries the debug ports.
+const MembusPath = "wfqsort/internal/membus"
 
 // DatapathPackages lists the functional datapath packages the invariant
 // applies to. Tests may add testdata packages loaded under other paths.
@@ -40,8 +38,8 @@ var DatapathPackages = map[string]bool{
 // Analyzer is the storeseam analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "storeseam",
-	Doc: "functional datapath code must access memory through the " +
-		"hwsim.Store seam; Peek/Poke debug ports only in audit/debug files",
+	Doc: "functional datapath code reaches a membus.Region through its " +
+		"Port; Peek/Poke debug ports only in audit/debug files",
 	Run: run,
 }
 
@@ -52,13 +50,6 @@ func debugFile(base string) bool {
 		strings.HasPrefix(base, "debug") ||
 		strings.HasPrefix(base, "dump") ||
 		strings.HasSuffix(base, "_test.go")
-}
-
-// rawMemory reports whether t is one of the concrete physical-memory
-// types (as opposed to the Store interface).
-func rawMemory(t types.Type) bool {
-	return analysis.IsNamed(t, HwsimPath, "SRAM") ||
-		analysis.IsNamed(t, HwsimPath, "RegisterFile")
 }
 
 // peekSignature reports whether sig is the debug-port shape
@@ -114,25 +105,16 @@ func run(pass *analysis.Pass) error {
 			if recv == nil {
 				return true
 			}
-			switch fn.Name() {
-			case "Read", "Write":
-				if rawMemory(recv) {
-					pass.Reportf(call.Pos(),
-						"%s on raw %s bypasses the hwsim.Store seam (fault injection cannot observe it); route functional traffic through the Store interface",
-						fn.Name(), analysis.Deref(recv).String())
-				}
-			case "Peek", "Poke":
-				if !peekSignature(sig) {
-					return true
-				}
-				if !rawMemory(recv) && !isDebugPortInterface(recv) {
-					return true
-				}
-				if base := pass.Filename(call.Pos()); !debugFile(base) {
-					pass.Reportf(call.Pos(),
-						"%s debug port used in functional file %s (uncounted, unclocked access); move to an audit*/debug* file or use the Store seam",
-						fn.Name(), base)
-				}
+			if (fn.Name() != "Peek" && fn.Name() != "Poke") || !peekSignature(sig) {
+				return true
+			}
+			if !analysis.IsNamed(recv, MembusPath, "Region") && !isDebugPortInterface(recv) {
+				return true
+			}
+			if base := pass.Filename(call.Pos()); !debugFile(base) {
+				pass.Reportf(call.Pos(),
+					"%s debug port used in functional file %s (uncounted, unclocked, unobserved access); move to an audit*/debug* file or use the region's Port",
+					fn.Name(), base)
 			}
 			return true
 		})

@@ -7,7 +7,7 @@ package datapath
 func (s *Structure) AuditWalk() ([]uint64, error) {
 	out := make([]uint64, 0, 4)
 	for addr := 0; addr < 4; addr++ {
-		w, err := s.mem.Peek(addr)
+		w, err := s.reg.Peek(addr)
 		if err != nil {
 			return nil, err
 		}
@@ -19,5 +19,5 @@ func (s *Structure) AuditWalk() ([]uint64, error) {
 // AuditRestore uses Poke for fault-free restoration, also legal in an
 // audit file.
 func (s *Structure) AuditRestore(addr int, w uint64) error {
-	return s.mem.Poke(addr, w)
+	return s.reg.Poke(addr, w)
 }

@@ -2,52 +2,52 @@
 // test harness under a datapath import path so the invariant applies.
 package datapath
 
-import "wfqsort/internal/hwsim"
+import "wfqsort/internal/membus"
 
-// Structure models a datapath structure holding both the raw SRAM
-// handle (debug ports) and the functional Store seam.
+// Structure models a datapath structure holding a fabric region (debug
+// ports) and its functional port.
 type Structure struct {
-	mem   *hwsim.SRAM
-	regs  *hwsim.RegisterFile
-	store hwsim.Store
+	reg  *membus.Region
+	port *membus.Port
 }
 
-// peeker mirrors the trie's debug-port interface.
+// peeker mirrors a per-level debug-port abstraction.
 type peeker interface {
 	Peek(addr int) (uint64, error)
 }
 
-// Good reads and writes through the Store seam.
+// Good reads and writes through the arbitrated port.
 func (s *Structure) Good() error {
-	w, err := s.store.Read(0)
+	w, err := s.port.Read(0)
 	if err != nil {
 		return err
 	}
-	return s.store.Write(1, w)
+	return s.port.Write(1, w)
 }
 
-// BadRawRead bypasses the seam on the raw SRAM handle.
-func (s *Structure) BadRawRead() (uint64, error) {
-	return s.mem.Read(0) // want `Read on raw wfqsort/internal/hwsim\.SRAM bypasses the hwsim\.Store seam`
-}
-
-// BadRawWrite bypasses the seam on the raw register-file handle.
-func (s *Structure) BadRawWrite() error {
-	return s.regs.Write(0, 1) // want `Write on raw wfqsort/internal/hwsim\.RegisterFile bypasses the hwsim\.Store seam`
+// GoodBulk reinitializes the region; Wipe and Clear are not debug
+// ports.
+func (s *Structure) GoodBulk() {
+	s.reg.Wipe()
+	s.reg.Clear()
 }
 
 // BadPeek uses the debug port on a functional path.
 func (s *Structure) BadPeek() (uint64, error) {
-	return s.mem.Peek(0) // want `Peek debug port used in functional file datapath.go`
+	return s.reg.Peek(0) // want `Peek debug port used in functional file datapath.go`
 }
 
 // BadPoke uses the test-setup port on a functional path.
 func (s *Structure) BadPoke() error {
-	return s.mem.Poke(0, 7) // want `Poke debug port used in functional file datapath.go`
+	return s.reg.Poke(0, 7) // want `Poke debug port used in functional file datapath.go`
 }
 
-// BadInterfacePeek reaches the debug port through an interface, like
-// the trie's per-level peeker slice.
+// BadPortRegionPeek reaches the debug port back through the port.
+func (s *Structure) BadPortRegionPeek() (uint64, error) {
+	return s.port.Region().Peek(0) // want `Peek debug port used in functional file datapath.go`
+}
+
+// BadInterfacePeek reaches the debug port through an interface.
 func (s *Structure) BadInterfacePeek(p peeker) (uint64, error) {
 	return p.Peek(0) // want `Peek debug port used in functional file datapath.go`
 }
@@ -56,5 +56,5 @@ func (s *Structure) BadInterfacePeek(p peeker) (uint64, error) {
 // reported.
 func (s *Structure) JustifiedPeek() (uint64, error) {
 	//wfqlint:ignore storeseam head-register shadow check reads the physical array by design
-	return s.mem.Peek(0)
+	return s.reg.Peek(0)
 }

@@ -124,8 +124,6 @@ type Config struct {
 	// LaneCapacity is the number of tag-store links per lane.
 	// Default 1024.
 	LaneCapacity int
-	// Partition is the tag-space split (default interleaved).
-	Partition sharded.Partition
 	// MemTech is each lane's tag-store memory technology (default SDR).
 	MemTech taglist.MemTech
 	// LaneFabrics, when non-nil, supplies one pre-built memory fabric
@@ -553,7 +551,6 @@ func New(cfg Config) (*Engine, error) {
 	s, err := sharded.New(sharded.Config{
 		Lanes:        cfg.Lanes,
 		LaneCapacity: cfg.LaneCapacity,
-		Partition:    cfg.Partition,
 		MemTech:      cfg.MemTech,
 		LaneFabrics:  cfg.LaneFabrics,
 	})

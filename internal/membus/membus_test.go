@@ -53,7 +53,7 @@ func TestSequentialAccessMatchesLatency(t *testing.T) {
 		t.Fatalf("read back %#x, want 0xBEEF", w)
 	}
 	// Sequential (un-windowed) traffic charges exactly the access
-	// latency, like the pre-fabric SRAM model.
+	// latency.
 	if clk.Now() != 2 {
 		t.Fatalf("clock at %d after 1R+1W, want 2", clk.Now())
 	}

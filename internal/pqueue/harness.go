@@ -201,8 +201,9 @@ func RunWorkload(q MinTagQueue, backlog, steady, window, tagRange int, profile t
 }
 
 func countInversions(keys []float64) int64 {
-	// Simple merge count (duplicated from metrics to avoid a cycle-free
-	// but unnecessary dependency).
+	// Merge count, a copy of metrics.TotalInversions: metrics imports
+	// schedulers, which imports this package, so calling it from here
+	// would be an import cycle.
 	buf := make([]float64, len(keys))
 	work := make([]float64, len(keys))
 	copy(work, keys)

@@ -5,6 +5,7 @@ import (
 
 	"wfqsort/internal/packet"
 	"wfqsort/internal/wfq"
+	"wfqsort/internal/wfqhw"
 )
 
 // SCFQ is self-clocked fair queueing as a rank program: rank is the
@@ -96,6 +97,39 @@ func (w *WFQ) Rank(p packet.Packet, now float64) (Ranked, error) {
 }
 
 func (w *WFQ) OnServe(p packet.Packet, r Ranked, now float64) {}
+
+// WFQFixed is WFQ computed by the fixed-point tag circuit of paper
+// reference [8] (wfqhw.Tagger): integer arithmetic end to end, exactly
+// as the silicon computes tags. The circuit's output is already in
+// sorter units; Rank scales it back by the granularity, so a quantizer
+// with the same granularity re-derives the same integer.
+type WFQFixed struct {
+	hw          *wfqhw.Tagger
+	granularity float64
+}
+
+// NewWFQFixed builds the program for the given flow weights, link
+// capacity in bits/s and granularity in virtual-time seconds per tag
+// unit.
+func NewWFQFixed(weights []float64, capacityBps, granularity float64) (*WFQFixed, error) {
+	hw, err := wfqhw.New(wfqhw.Config{Weights: weights, CapacityBps: capacityBps, Granularity: granularity})
+	if err != nil {
+		return nil, err
+	}
+	return &WFQFixed{hw: hw, granularity: granularity}, nil
+}
+
+func (w *WFQFixed) Name() string { return "WFQ-fixed-point" }
+
+func (w *WFQFixed) Rank(p packet.Packet, now float64) (Ranked, error) {
+	units, err := w.hw.Tag(p.Flow, int(p.Bits()), now)
+	if err != nil {
+		return Ranked{}, err
+	}
+	return Ranked{Rank: float64(units) * w.granularity}, nil
+}
+
+func (w *WFQFixed) OnServe(p packet.Packet, r Ranked, now float64) {}
 
 // VirtualClock is Zhang's Virtual Clock as a rank program: packets are
 // stamped F = max(F_prev, now) + L/(φ·C) against real time — no

@@ -2,10 +2,12 @@ package rank
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"wfqsort/internal/packet"
 	"wfqsort/internal/pqueue"
+	"wfqsort/internal/wfqhw"
 )
 
 func pkt(id, flow, size int, arrival float64) packet.Packet {
@@ -203,6 +205,50 @@ func TestProgramValidation(t *testing.T) {
 	lstf, _ := NewLSTF([]float64{0.01}, 1e6)
 	if _, err := lstf.Rank(pkt(0, 2, 100, 0), 0); err == nil {
 		t.Fatal("LSTF: out-of-range flow ranked")
+	}
+}
+
+// TestWFQFixedMatchesTagCircuit: the program is the fixed-point circuit
+// scaled by the granularity — nothing more — and a rejected packet
+// leaves the circuit's state where it was.
+func TestWFQFixedMatchesTagCircuit(t *testing.T) {
+	weights := []float64{0.5, 0.3, 0.2}
+	const capacity, gran = 1e8, 1e-7
+	prog, err := NewWFQFixed(weights, capacity, gran)
+	if err != nil {
+		t.Fatalf("NewWFQFixed: %v", err)
+	}
+	hw, err := wfqhw.New(wfqhw.Config{Weights: weights, CapacityBps: capacity, Granularity: gran})
+	if err != nil {
+		t.Fatalf("wfqhw.New: %v", err)
+	}
+	if _, err := NewWFQFixed(weights, capacity, 0); err == nil {
+		t.Fatal("zero granularity accepted")
+	}
+	rng := rand.New(rand.NewSource(5))
+	now := 0.0
+	for i := 0; i < 2000; i++ {
+		now += rng.ExpFloat64() * 2e-5
+		if i%97 == 0 {
+			// An unknown flow is refused before the circuit advances: the
+			// next tags still agree with the reference that never saw it.
+			if _, err := prog.Rank(pkt(i, len(weights), 100, now+1), now+1); err == nil {
+				t.Fatalf("packet %d: unknown flow ranked", i)
+			}
+		}
+		p := pkt(i, rng.Intn(len(weights)), 64+rng.Intn(1400), now)
+		r, err := prog.Rank(p, now)
+		if err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+		units, err := hw.Tag(p.Flow, p.Size*8, now)
+		if err != nil {
+			t.Fatalf("packet %d: reference: %v", i, err)
+		}
+		if want := float64(units) * gran; r.Rank != want {
+			t.Fatalf("packet %d: rank %v, want %d units × %v = %v", i, r.Rank, units, gran, want)
+		}
+		prog.OnServe(p, r, now)
 	}
 }
 

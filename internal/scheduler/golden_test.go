@@ -9,6 +9,7 @@ import (
 
 	"wfqsort/internal/hwsim"
 	"wfqsort/internal/packet"
+	"wfqsort/internal/rank"
 )
 
 // resultDigest hashes everything of a Result that the live-tag
@@ -54,9 +55,13 @@ func burstyTrace(n int, seed int64, gap float64) []packet.Packet {
 }
 
 // TestRunGolden pins Run's complete outcome on three paths through the
-// live-tag bookkeeping. The digests were recorded at the commit before
-// the per-departure rescan of the live-tag map was replaced by the
-// slot-indexed heap; the replacement must reproduce them bit for bit.
+// live-tag bookkeeping and on the two tag circuits other than exact WFQ.
+// The first three digests were recorded at the commit before the
+// per-departure rescan of the live-tag map was replaced by the
+// slot-indexed heap, the last two at the commit before the scheduler's
+// private tag-algorithm switch was replaced by Config.Program (as its
+// SCFQ and fixed-point settings on the same configuration); each
+// replacement must reproduce them bit for bit.
 func TestRunGolden(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -133,16 +138,53 @@ func TestRunGolden(t *testing.T) {
 			},
 			want: "42645cbb168e11008d0a82f33e91e8be795bb253c64b11a5dbb215af2f079562",
 		},
+		{
+			name: "scfq-program",
+			build: func(t *testing.T) (*Scheduler, []packet.Packet) {
+				weights := []float64{0.8, 0.1, 0.1}
+				prog, err := rank.NewSCFQ(weights, 1e9)
+				if err != nil {
+					t.Fatalf("NewSCFQ: %v", err)
+				}
+				s, err := New(Config{
+					Weights:        weights,
+					CapacityBps:    1e9,
+					SorterCapacity: 256,
+					Clock:          &hwsim.Clock{},
+					Program:        prog,
+				})
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				return s, burstyTrace(6000, 42, 1e-3)
+			},
+			want: "7d8e7dd5973ffc292340c012f1a344ff52da608a3365b865442e267f3b0a34f9",
+		},
+		{
+			name: "wfq-fixed-program",
+			build: func(t *testing.T) (*Scheduler, []packet.Packet) {
+				s := newFixed(t, Config{
+					Weights:        []float64{0.8, 0.1, 0.1},
+					CapacityBps:    1e9,
+					SorterCapacity: 256,
+					Clock:          &hwsim.Clock{},
+				})
+				return s, burstyTrace(6000, 42, 1e-3)
+			},
+			want: "4581983711c71eb1311ab02d912bb6b9ff44feebe4ede9ea40ae3467b1dc3359",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, arr := tc.build(t)
-			clock := s.cfg.Clock // the fabric's clock domain in all three cases
+			clock := s.cfg.Clock // the fabric's clock domain in every case
 			res, err := s.Run(arr)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			tc.check(t, res)
+			if tc.check != nil {
+				tc.check(t, res)
+			}
 			if got := resultDigest(res, clock); got != tc.want {
 				t.Errorf("digest %s\nwant   %s\n(%d departures, %d reclaimed, %d windows, %d inversions, %d dropped, %d lost, clock %d)",
 					got, tc.want, len(res.Departures), res.SectionsReclaimed, res.Windows, res.Inversions, res.Dropped, res.Lost, clock.Now())

@@ -16,54 +16,26 @@ import (
 	"wfqsort/internal/core"
 	"wfqsort/internal/hwsim"
 	"wfqsort/internal/membus"
+	"wfqsort/internal/metrics"
 	"wfqsort/internal/packet"
+	"wfqsort/internal/rank"
 	"wfqsort/internal/schedulers"
 	"wfqsort/internal/taglist"
 	"wfqsort/internal/wfq"
-	"wfqsort/internal/wfqhw"
 )
-
-// Algorithm selects the tag computation circuit plugged into the Fig. 1
-// architecture — the paper stresses that "any fair queueing based
-// algorithm can be inserted into the architecture in place of the WFQ
-// calculation circuit".
-type Algorithm int
-
-// Tag computation algorithms.
-const (
-	// AlgWFQ is weighted fair queueing with an exact GPS virtual clock
-	// (the paper's reference [8] circuit).
-	AlgWFQ Algorithm = iota + 1
-	// AlgSCFQ is self-clocked fair queueing: the virtual time is the
-	// finishing tag of the packet in service — a much simpler update at
-	// slightly looser delay bounds.
-	AlgSCFQ
-	// AlgWFQFixed is the fixed-point WFQ tag computation circuit of
-	// paper reference [8] (internal/wfqhw): integer arithmetic end to
-	// end, exactly as the silicon computes tags. Its output is already
-	// in quantizer units.
-	AlgWFQFixed
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case AlgWFQ:
-		return "WFQ"
-	case AlgSCFQ:
-		return "SCFQ"
-	case AlgWFQFixed:
-		return "WFQ-fixed-point"
-	default:
-		return "unknown"
-	}
-}
 
 // Config describes a scheduler instance.
 type Config struct {
 	// Weights are the per-session WFQ weights φ.
 	Weights []float64
-	// Algorithm selects the tag computation circuit (default AlgWFQ).
-	Algorithm Algorithm
+	// Program is the tag computation circuit plugged into the Fig. 1
+	// architecture — the paper stresses that "any fair queueing based
+	// algorithm can be inserted into the architecture in place of the
+	// WFQ calculation circuit". Its ranks are finishing tags in
+	// virtual-time seconds, quantized onto the sorter by Granularity.
+	// Nil selects rank.NewWFQ(Weights, CapacityBps), weighted fair
+	// queueing with an exact GPS virtual clock.
+	Program rank.Program
 	// MemTech selects the tag-store memory technology (default SDR
 	// SRAM; QDRII halves the operation window, paper §III-C).
 	MemTech taglist.MemTech
@@ -216,65 +188,23 @@ type Result struct {
 	Lost int
 }
 
-// tagger abstracts the pluggable tag computation circuit.
-type tagger interface {
-	// tag computes a packet's finishing tag.
-	tag(flow int, sizeBits, now float64) (float64, error)
-	// serve informs the tagger that the packet with finishing tag f
-	// entered service (used by self-clocked algorithms).
-	serve(f float64)
-}
-
-type wfqTagger struct{ clock *wfq.Clock }
-
-func (t *wfqTagger) tag(flow int, sizeBits, now float64) (float64, error) {
-	_, f, err := t.clock.Tag(flow, sizeBits, now)
-	return f, err
-}
-
-func (t *wfqTagger) serve(float64) {}
-
-type scfqTagger struct{ s *wfq.SCFQ }
-
-func (t *scfqTagger) tag(flow int, sizeBits, _ float64) (float64, error) {
-	return t.s.Tag(flow, sizeBits)
-}
-
-func (t *scfqTagger) serve(f float64) { t.s.Serve(f) }
-
-// fixedTagger adapts the integer-output fixed-point circuit to the
-// float-based pipeline bookkeeping (the quantizer re-derives the same
-// integer units, so the hardware tag path stays integer end to end).
-type fixedTagger struct {
-	hw          *wfqhw.Tagger
-	granularity float64
-}
-
-func (t *fixedTagger) tag(flow int, sizeBits, now float64) (float64, error) {
-	units, err := t.hw.Tag(flow, int(sizeBits), now)
-	if err != nil {
-		return 0, err
-	}
-	return float64(units) * t.granularity, nil
-}
-
-func (t *fixedTagger) serve(float64) {}
-
 // Scheduler is the Fig. 1 datapath. Not safe for concurrent use.
 type Scheduler struct {
 	cfg    Config
-	tagger tagger
 	quant  *wfq.Quantizer
 	sorter *core.Sorter
 	buffer *packet.Buffer
 	red    *aqm.RED
 	live   liveTags
+	// ranked[slot] is what cfg.Program issued for the packet in that
+	// buffer slot, handed back to OnServe at departure.
+	ranked []rank.Ranked
 }
 
 // Validate checks the configuration and normalizes documented
 // zero-value defaults in place (the paper's 143.2 MHz clock, a
-// 4096-link sorter, buffer slots matching the sorter, 1500-byte MTU,
-// WFQ tagging). New calls it; callers only need it to pre-validate.
+// 4096-link sorter, buffer slots matching the sorter, 1500-byte MTU).
+// New calls it; callers only need it to pre-validate.
 // Granularity, when zero, is derived in New from the built sorter's
 // geometry (it needs the tag range).
 func (c *Config) Validate() error {
@@ -298,12 +228,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxPacketBytes == 0 {
 		c.MaxPacketBytes = 1500
-	}
-	if c.Algorithm == 0 {
-		c.Algorithm = AlgWFQ
-	}
-	if c.Algorithm != AlgWFQ && c.Algorithm != AlgSCFQ && c.Algorithm != AlgWFQFixed {
-		return fmt.Errorf("scheduler: unknown algorithm %d", int(c.Algorithm))
 	}
 	return nil
 }
@@ -338,32 +262,11 @@ func New(cfg Config) (*Scheduler, error) {
 		maxUnits := float64(sorter.TagRange() - sorter.SectionSize())
 		cfg.Granularity = window / maxUnits
 	}
-	var tg tagger
-	switch cfg.Algorithm {
-	case AlgWFQ:
-		clock, err := wfq.NewClock(cfg.Weights, cfg.CapacityBps)
+	if cfg.Program == nil {
+		cfg.Program, err = rank.NewWFQ(cfg.Weights, cfg.CapacityBps)
 		if err != nil {
 			return nil, fmt.Errorf("scheduler: %w", err)
 		}
-		tg = &wfqTagger{clock: clock}
-	case AlgSCFQ:
-		s, err := wfq.NewSCFQ(cfg.Weights, cfg.CapacityBps)
-		if err != nil {
-			return nil, fmt.Errorf("scheduler: %w", err)
-		}
-		tg = &scfqTagger{s: s}
-	case AlgWFQFixed:
-		hw, err := wfqhw.New(wfqhw.Config{
-			Weights:     cfg.Weights,
-			CapacityBps: cfg.CapacityBps,
-			Granularity: cfg.Granularity,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("scheduler: %w", err)
-		}
-		tg = &fixedTagger{hw: hw, granularity: cfg.Granularity}
-	default:
-		return nil, fmt.Errorf("scheduler: unknown algorithm %d", int(cfg.Algorithm))
 	}
 	quant, err := wfq.NewQuantizer(cfg.Granularity, sorter.TagBits(), sorter.Sections())
 	if err != nil {
@@ -392,8 +295,8 @@ func New(cfg Config) (*Scheduler, error) {
 	default:
 		return nil, fmt.Errorf("scheduler: unknown overload policy %d", int(cfg.OnFull))
 	}
-	return &Scheduler{cfg: cfg, tagger: tg, quant: quant, sorter: sorter, buffer: buffer, red: red,
-		live: newLiveTags(cfg.BufferSlots)}, nil
+	return &Scheduler{cfg: cfg, quant: quant, sorter: sorter, buffer: buffer, red: red,
+		live: newLiveTags(cfg.BufferSlots), ranked: make([]rank.Ranked, cfg.BufferSlots)}, nil
 }
 
 // Granularity returns the active quantization step.
@@ -519,10 +422,12 @@ func (s *Scheduler) Run(arrivals []packet.Packet) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("scheduler: packet %d: %w", p.ID, err)
 		}
-		f, err := s.tagger.tag(p.Flow, p.Bits(), p.Arrival)
+		r, err := s.cfg.Program.Rank(p, p.Arrival)
 		if err != nil {
 			return fmt.Errorf("scheduler: packet %d: %w", p.ID, err)
 		}
+		s.ranked[slot] = r
+		f := r.Rank
 		res.ExactTags[p.ID] = f
 		// The tag computation circuit enforces the paper's invariant
 		// (§III-A): issued tags are never below the smallest tag still
@@ -597,7 +502,7 @@ func (s *Scheduler) Run(arrivals []packet.Packet) (*Result, error) {
 		if s.red != nil {
 			s.red.Depart()
 		}
-		s.tagger.serve(res.ExactTags[p.ID])
+		s.cfg.Program.OnServe(p, s.ranked[e.Payload], now)
 		// Track the live minimum for the quantizer's window bookkeeping.
 		live.remove(e.Payload)
 		minLiveF = live.min()
@@ -648,7 +553,7 @@ func (s *Scheduler) Run(arrivals []packet.Packet) (*Result, error) {
 	for i, d := range res.Departures {
 		servedTags[i] = res.ExactTags[d.Packet.ID]
 	}
-	res.Inversions = countInversions(servedTags)
+	res.Inversions = metrics.TotalInversions(servedTags)
 	res.Sorter = s.sorter.StatsSnapshot()
 	res.PeakBuffer = s.buffer.PeakUsed()
 	res.Windows = res.Sorter.ListWindows
@@ -671,36 +576,4 @@ func checkPacketIDs(arrivals []packet.Packet) error {
 		seen[p.ID] = true
 	}
 	return nil
-}
-
-func countInversions(keys []float64) int64 {
-	buf := make([]float64, len(keys))
-	work := make([]float64, len(keys))
-	copy(work, keys)
-	return mergeCount(work, buf)
-}
-
-func mergeCount(a, buf []float64) int64 {
-	n := len(a)
-	if n < 2 {
-		return 0
-	}
-	mid := n / 2
-	count := mergeCount(a[:mid], buf[:mid]) + mergeCount(a[mid:], buf[mid:])
-	i, j, k := 0, mid, 0
-	for i < mid && j < n {
-		if a[i] <= a[j] {
-			buf[k] = a[i]
-			i++
-		} else {
-			count += int64(mid - i)
-			buf[k] = a[j]
-			j++
-		}
-		k++
-	}
-	copy(buf[k:], a[i:mid])
-	copy(buf[k+mid-i:], a[j:n])
-	copy(a, buf[:n])
-	return count
 }

@@ -3,11 +3,13 @@ package scheduler
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"wfqsort/internal/aqm"
 	"wfqsort/internal/gps"
 	"wfqsort/internal/packet"
+	"wfqsort/internal/rank"
 	"wfqsort/internal/schedulers"
 	"wfqsort/internal/taglist"
 	"wfqsort/internal/traffic"
@@ -372,11 +374,12 @@ func TestGranularityDefaultDerivation(t *testing.T) {
 // of the WFQ circuit and still produces weighted-fair, bounded service.
 func TestSCFQAlgorithmPlugsIn(t *testing.T) {
 	pkts := mix(t, 200)
-	s, err := New(Config{
-		Weights:     []float64{0.3, 0.5, 0.2},
-		CapacityBps: 1e6,
-		Algorithm:   AlgSCFQ,
-	})
+	weights := []float64{0.3, 0.5, 0.2}
+	prog, err := rank.NewSCFQ(weights, 1e6)
+	if err != nil {
+		t.Fatalf("NewSCFQ: %v", err)
+	}
+	s, err := New(Config{Weights: weights, CapacityBps: 1e6, Program: prog})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -388,7 +391,7 @@ func TestSCFQAlgorithmPlugsIn(t *testing.T) {
 		t.Fatalf("served %d of %d", len(res.Departures), len(pkts))
 	}
 	// SCFQ's looser bound: GPS lag within (N_flows)·Lmax/C.
-	ref, err := gps.Simulate(pkts, []float64{0.3, 0.5, 0.2}, 1e6)
+	ref, err := gps.Simulate(pkts, weights, 1e6)
 	if err != nil {
 		t.Fatalf("gps.Simulate: %v", err)
 	}
@@ -398,12 +401,40 @@ func TestSCFQAlgorithmPlugsIn(t *testing.T) {
 			t.Fatalf("SCFQ lag %v exceeds loose bound %v", lag, bound)
 		}
 	}
-	if Algorithm(0).String() != "unknown" || AlgSCFQ.String() != "SCFQ" || AlgWFQ.String() != "WFQ" {
-		t.Error("algorithm names wrong")
+	// A nil Program is exact WFQ.
+	def, err := New(Config{Weights: weights, CapacityBps: 1e6})
+	if err != nil {
+		t.Fatalf("New(default): %v", err)
 	}
-	if _, err := New(Config{Weights: []float64{1}, CapacityBps: 1e6, Algorithm: Algorithm(9)}); err == nil {
-		t.Error("unknown algorithm accepted")
+	if name := def.cfg.Program.Name(); name != "WFQ" {
+		t.Errorf("nil Program selected %q, want WFQ", name)
 	}
+	// A packet the program refuses fails the run, naming the packet.
+	bad := []packet.Packet{{ID: 0, Flow: 0, Size: 100}, {ID: 1, Flow: len(weights), Size: 100, Arrival: 1e-3}}
+	if _, err := def.Run(bad); err == nil || !strings.Contains(err.Error(), "packet 1") {
+		t.Errorf("unknown flow: Run error %v, want one naming packet 1", err)
+	}
+}
+
+// newFixed builds the Fig. 1 datapath on the fixed-point tag circuit of
+// reference [8]. The circuit emits sorter units, so it and the quantizer
+// must share one granularity: the one cfg derives by default.
+func newFixed(t *testing.T, cfg Config) *Scheduler {
+	t.Helper()
+	def, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New(default): %v", err)
+	}
+	cfg.Granularity = def.Granularity()
+	cfg.Program, err = rank.NewWFQFixed(cfg.Weights, cfg.CapacityBps, cfg.Granularity)
+	if err != nil {
+		t.Fatalf("NewWFQFixed: %v", err)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New(fixed): %v", err)
+	}
+	return s
 }
 
 // TestFixedPointAlgorithmEndToEnd runs the complete Fig. 1 datapath with
@@ -414,10 +445,7 @@ func TestFixedPointAlgorithmEndToEnd(t *testing.T) {
 	pkts := mix(t, 200)
 	weights := []float64{0.3, 0.5, 0.2}
 	const capacity = 1e6
-	s, err := New(Config{Weights: weights, CapacityBps: capacity, Algorithm: AlgWFQFixed})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := newFixed(t, Config{Weights: weights, CapacityBps: capacity})
 	res, err := s.Run(pkts)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -450,9 +478,6 @@ func TestFixedPointAlgorithmEndToEnd(t *testing.T) {
 	}
 	if worst > 24 {
 		t.Fatalf("fixed-point vs float displacement %d slots, want ≤24", worst)
-	}
-	if AlgWFQFixed.String() != "WFQ-fixed-point" {
-		t.Error("algorithm name wrong")
 	}
 }
 

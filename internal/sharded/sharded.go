@@ -11,51 +11,26 @@
 // commodity cores, and the PIFO line of work shows a small combining
 // stage over parallel sorted lanes preserves scheduling semantics. Here
 // each lane keeps the paper's per-lane guarantees (4-cycle insert
-// window, fixed-depth tree search), inserts are batched and driven
-// concurrently — one goroutine per lane, no shared mutable state — and
-// cross-lane cycle accounting is reported as the maximum over lanes,
-// matching the wall-clock of parallel hardware.
+// window, fixed-depth tree search), and cross-lane cycle accounting is
+// reported as the maximum over lanes, matching the wall-clock of
+// parallel hardware. The sorter itself runs on its caller's goroutine;
+// the host-parallel datapath over the same lanes is internal/engine.
 //
-// Because every tag value maps to exactly one lane, cross-lane ties are
-// impossible and per-lane FCFS among duplicate tags is preserved: the
-// sharded sorter serves exactly the sequence a single sorter would.
+// Tag t lives in lane t mod N (its low literal bits), so a moving WFQ
+// tag window spreads evenly over all lanes. Because every tag value maps
+// to exactly one lane, cross-lane ties are impossible and per-lane FCFS
+// among duplicate tags is preserved: the sharded sorter serves exactly
+// the sequence a single sorter would.
 package sharded
 
 import (
 	"fmt"
-	"sync"
 
 	"wfqsort/internal/core"
 	"wfqsort/internal/hwsim"
 	"wfqsort/internal/membus"
 	"wfqsort/internal/taglist"
 )
-
-// Partition selects how the tag space is split across lanes.
-type Partition int
-
-const (
-	// PartitionInterleaved assigns tag t to lane t mod N (low literal
-	// bits). A moving WFQ tag window spreads evenly over all lanes, so
-	// this is the load-balancing default.
-	PartitionInterleaved Partition = iota + 1
-	// PartitionBlocked assigns contiguous tag blocks to lanes (high
-	// literal bits): lane i owns [i·R/N, (i+1)·R/N). Load concentrates
-	// in the lane owning the current service window, but section
-	// reclamation maps to whole lanes; useful for wraparound studies.
-	PartitionBlocked
-)
-
-func (p Partition) String() string {
-	switch p {
-	case PartitionInterleaved:
-		return "interleaved"
-	case PartitionBlocked:
-		return "blocked"
-	default:
-		return "unknown"
-	}
-}
 
 // Config describes a sharded sorter.
 type Config struct {
@@ -65,8 +40,6 @@ type Config struct {
 	// LaneCapacity is the number of tag-store links per lane.
 	// Default 1024.
 	LaneCapacity int
-	// Partition is the tag-space split (default PartitionInterleaved).
-	Partition Partition
 	// MemTech is each lane's tag-store memory technology.
 	MemTech taglist.MemTech
 	// PayloadBits is the packet-pointer width per link (default 24).
@@ -84,8 +57,8 @@ type Config struct {
 }
 
 // Validate checks the configuration and normalizes documented
-// zero-value defaults in place (4 lanes of 1024 links, interleaved
-// partitioning). New calls it; callers only need it to pre-validate.
+// zero-value defaults in place (4 lanes of 1024 links). New calls it;
+// callers only need it to pre-validate.
 func (c *Config) Validate() error {
 	if c.Lanes == 0 {
 		c.Lanes = 4
@@ -95,12 +68,6 @@ func (c *Config) Validate() error {
 	}
 	if c.LaneCapacity == 0 {
 		c.LaneCapacity = 1024
-	}
-	if c.Partition == 0 {
-		c.Partition = PartitionInterleaved
-	}
-	if c.Partition != PartitionInterleaved && c.Partition != PartitionBlocked {
-		return fmt.Errorf("sharded: unknown partition %d", int(c.Partition))
 	}
 	if c.LaneClocks != nil && len(c.LaneClocks) != c.Lanes {
 		return fmt.Errorf("sharded: %d lane clocks for %d lanes", len(c.LaneClocks), c.Lanes)
@@ -166,16 +133,13 @@ type lane struct {
 }
 
 // ShardedSorter is the multi-lane sorter. Like the single-lane circuit
-// it models, it is not safe for concurrent use by multiple callers; the
-// internal InsertBatch fan-out is the only concurrency and is fully
-// synchronized before the call returns.
+// it models, it is not safe for concurrent use.
 type ShardedSorter struct {
 	cfg      Config
 	lanes    []*lane
 	tree     *selectTree
 	n        int
 	tagRange int
-	block    int // tags per lane under PartitionBlocked
 
 	combined uint64
 	batches  uint64
@@ -213,7 +177,6 @@ func New(cfg Config) (*ShardedSorter, error) {
 		s.lanes = append(s.lanes, &lane{clock: fab.Clock(), fab: fab, sorter: srt})
 	}
 	s.tagRange = s.lanes[0].sorter.TagRange()
-	s.block = s.tagRange / cfg.Lanes
 	return s, nil
 }
 
@@ -225,9 +188,6 @@ func (s *ShardedSorter) Lanes() int { return len(s.lanes) }
 // snapshot.
 func (s *ShardedSorter) SelectDepth() int { return s.tree.levels }
 
-// Partition returns the configured tag-space split.
-func (s *ShardedSorter) Partition() Partition { return s.cfg.Partition }
-
 // TagRange returns the number of representable tag values.
 func (s *ShardedSorter) TagRange() int { return s.tagRange }
 
@@ -237,11 +197,8 @@ func (s *ShardedSorter) Capacity() int { return len(s.lanes) * s.cfg.LaneCapacit
 // Len returns the number of stored tags.
 func (s *ShardedSorter) Len() int { return s.n }
 
-// LaneFor returns the lane owning tag under the configured partition.
+// LaneFor returns the lane owning tag: tag mod lanes.
 func (s *ShardedSorter) LaneFor(tag int) int {
-	if s.cfg.Partition == PartitionBlocked {
-		return tag / s.block
-	}
 	return tag & (len(s.lanes) - 1)
 }
 
@@ -330,14 +287,16 @@ func (s *ShardedSorter) Insert(tag, payload int) error {
 }
 
 // InsertBatch groups the requests by owning lane — preserving arrival
-// order within each lane, so FCFS among duplicates survives — and
-// drives all lanes concurrently, one goroutine per non-empty lane. Each
-// lane respects its own 4-cycle insert window; the batch as a whole
-// costs the slowest lane's cycles (max-lane accounting, the parallel
-// hardware's wall clock). It returns that cost.
+// order within each lane, so FCFS among duplicates survives — and runs
+// the lanes' inserts in lane order. Each lane respects its own 4-cycle
+// insert window in its own clock domain; the batch as a whole costs the
+// slowest lane's cycles (max-lane accounting, the parallel hardware's
+// wall clock). It returns that cost.
 //
 // The batch is validated (tag ranges, per-lane capacity) before any
-// lane is touched, so a rejected batch leaves the sorter unchanged.
+// lane is touched, so a rejected batch leaves the sorter unchanged. A
+// lane that fails mid-batch stops there; the other lanes still run, and
+// the error of the lowest failing lane is returned.
 func (s *ShardedSorter) InsertBatch(reqs []Request) (maxLaneCycles uint64, err error) {
 	if len(reqs) == 0 {
 		return 0, nil
@@ -356,49 +315,31 @@ func (s *ShardedSorter) InsertBatch(reqs []Request) (maxLaneCycles uint64, err e
 				i, len(batch), free, taglist.ErrFull)
 		}
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(s.lanes))
-	starts := make([]uint64, len(s.lanes))
 	for i, batch := range perLane {
 		if len(batch) == 0 {
 			continue
 		}
-		starts[i] = s.lanes[i].clock.Now()
-		wg.Add(1)
-		// The goroutine receives its lane and result slot as parameters
-		// (never capturing s or the lane array), so ownership of exactly
-		// one lane transfers to exactly one goroutine — the laneconfine
-		// contract the parallel datapath depends on.
-		go func(i int, ln *lane, batch []Request, errp *error) {
-			defer wg.Done()
-			for _, r := range batch {
-				if err := ln.sorter.Insert(r.Tag, r.Payload); err != nil {
-					*errp = fmt.Errorf("sharded: lane %d: insert tag %d: %w", i, r.Tag, err)
-					return
+		ln := s.lanes[i]
+		start := ln.clock.Now()
+		for _, r := range batch {
+			if ierr := ln.sorter.Insert(r.Tag, r.Payload); ierr != nil {
+				if err == nil {
+					err = fmt.Errorf("sharded: lane %d: insert tag %d: %w", i, r.Tag, ierr)
 				}
-				ln.inserts++
+				break
 			}
-		}(i, s.lanes[i], batch, &errs[i])
-	}
-	wg.Wait()
-	// Deterministic post-processing in lane order: first error by lane
-	// index wins, heads refresh lowest lane first.
-	for i := range s.lanes {
-		if len(perLane[i]) == 0 {
-			continue
+			ln.inserts++
 		}
-		if delta := s.lanes[i].clock.Now() - starts[i]; delta > maxLaneCycles {
+		if delta := ln.clock.Now() - start; delta > maxLaneCycles {
 			maxLaneCycles = delta
 		}
 		s.refreshHead(i)
 	}
 	s.batches++
-	for _, e := range errs {
-		if e != nil {
-			// A failed lane stopped mid-batch; recount from the lanes.
-			s.ResyncHeads()
-			return maxLaneCycles, e
-		}
+	if err != nil {
+		// A failed lane stopped mid-batch; recount from the lanes.
+		s.ResyncHeads()
+		return maxLaneCycles, err
 	}
 	s.n += len(reqs)
 	return maxLaneCycles, nil

@@ -3,6 +3,8 @@ package sharded
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -31,12 +33,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Lanes: 2, LaneClocks: []*hwsim.Clock{{}}}); err == nil {
 		t.Error("mismatched lane clocks: want error")
 	}
-	if _, err := New(Config{Partition: Partition(99)}); err == nil {
-		t.Error("unknown partition: want error")
-	}
 	s := mustNew(t, Config{})
-	if s.Lanes() != 4 || s.Partition() != PartitionInterleaved {
-		t.Errorf("defaults: lanes=%d partition=%v", s.Lanes(), s.Partition())
+	if s.Lanes() != 4 {
+		t.Errorf("defaults: lanes=%d", s.Lanes())
 	}
 }
 
@@ -47,13 +46,6 @@ func TestLanePartitioning(t *testing.T) {
 			t.Fatalf("interleaved LaneFor(%d) = %d, want %d", tag, got, tag%4)
 		}
 	}
-	blocked := mustNew(t, Config{Lanes: 4, Partition: PartitionBlocked})
-	block := blocked.TagRange() / 4
-	for tag := 0; tag < blocked.TagRange(); tag += 97 {
-		if got := blocked.LaneFor(tag); got != tag/block {
-			t.Fatalf("blocked LaneFor(%d) = %d, want %d", tag, got, tag/block)
-		}
-	}
 }
 
 // TestDifferentialVsSingleSorter is the core exactness claim: for every
@@ -61,51 +53,49 @@ func TestLanePartitioning(t *testing.T) {
 // core.Sorter serves, including FCFS payload order among duplicate tags.
 func TestDifferentialVsSingleSorter(t *testing.T) {
 	for _, lanes := range []int{1, 2, 4, 8} {
-		for _, part := range []Partition{PartitionInterleaved, PartitionBlocked} {
-			t.Run(part.String()+"/"+string(rune('0'+lanes)), func(t *testing.T) {
-				ref, err := core.New(core.Config{Capacity: 8192})
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := mustNew(t, Config{Lanes: lanes, LaneCapacity: 2048, Partition: part})
-				rng := rand.New(rand.NewSource(int64(lanes)))
-				for step := 0; step < 3000; step++ {
-					if s.Len() == 0 || rng.Intn(2) == 0 {
-						tag := rng.Intn(256) * 16 // heavy duplicates
-						if err := ref.Insert(tag, step); err != nil {
-							t.Fatal(err)
-						}
-						if err := s.Insert(tag, step); err != nil {
-							t.Fatalf("step %d: %v", step, err)
-						}
-					} else {
-						want, err := ref.ExtractMin()
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := s.ExtractMin()
-						if err != nil {
-							t.Fatalf("step %d: %v", step, err)
-						}
-						if got.Tag != want.Tag || got.Payload != want.Payload {
-							t.Fatalf("step %d: served (%d,%d), single sorter (%d,%d)",
-								step, got.Tag, got.Payload, want.Tag, want.Payload)
-						}
+		t.Run("interleaved/"+string(rune('0'+lanes)), func(t *testing.T) {
+			ref, err := core.New(core.Config{Capacity: 8192})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := mustNew(t, Config{Lanes: lanes, LaneCapacity: 2048})
+			rng := rand.New(rand.NewSource(int64(lanes)))
+			for step := 0; step < 3000; step++ {
+				if s.Len() == 0 || rng.Intn(2) == 0 {
+					tag := rng.Intn(256) * 16 // heavy duplicates
+					if err := ref.Insert(tag, step); err != nil {
+						t.Fatal(err)
 					}
-					if s.Len() != ref.Len() {
-						t.Fatalf("step %d: len %d vs %d", step, s.Len(), ref.Len())
+					if err := s.Insert(tag, step); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+				} else {
+					want, err := ref.ExtractMin()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := s.ExtractMin()
+					if err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					if got.Tag != want.Tag || got.Payload != want.Payload {
+						t.Fatalf("step %d: served (%d,%d), single sorter (%d,%d)",
+							step, got.Tag, got.Payload, want.Tag, want.Payload)
 					}
 				}
-				if err := s.CheckInvariants(); err != nil {
-					t.Fatal(err)
+				if s.Len() != ref.Len() {
+					t.Fatalf("step %d: len %d vs %d", step, s.Len(), ref.Len())
 				}
-			})
-		}
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
-// TestInsertBatchMatchesSequential: a concurrent batch must drain in the
-// exact order the same requests inserted one at a time would.
+// TestInsertBatchMatchesSequential: a batch must cost and drain exactly
+// as the same requests inserted one at a time would.
 func TestInsertBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	reqs := make([]Request, 2000)
@@ -123,8 +113,19 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cycles == 0 {
-		t.Error("batch reported zero max-lane cycles")
+	// Same lane traffic, same lane clocks: only the sharding layer's
+	// record of how the requests were issued (one batch and one head
+	// refresh per lane, against one refresh per insert) may differ.
+	want, got := seq.StatsSnapshot(), bat.StatsSnapshot()
+	if cycles == 0 || cycles != want.MaxLaneCycles {
+		t.Errorf("batch cost %d max-lane cycles, sequential inserts %d", cycles, want.MaxLaneCycles)
+	}
+	if got.Batches != 1 || want.Batches != 0 {
+		t.Errorf("batches: batch %d, sequential %d", got.Batches, want.Batches)
+	}
+	got.Batches, got.SelectCompares, want.SelectCompares = 0, 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stats differ:\nbatch      %+v\nsequential %+v", got, want)
 	}
 	a, err := seq.Drain()
 	if err != nil {
@@ -145,9 +146,47 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestInsertBatchConcurrencyStress interleaves large batches with
-// extraction bursts; under -race this exercises the goroutine fan-out.
-func TestInsertBatchConcurrencyStress(t *testing.T) {
+// TestInsertBatchLaneErrorOrder: when lanes fail mid-batch the lowest
+// failing lane's error is returned, whatever the arrival order, the
+// healthy lanes still take their whole share, and the occupancy is
+// recounted from the lanes.
+func TestInsertBatchLaneErrorOrder(t *testing.T) {
+	s := mustNew(t, Config{Lanes: 4, LaneCapacity: 64})
+	// Clear the translation entry of a live tag in lanes 1 and 3: the
+	// next insert that looks the tag up finds the cross-memory invariant
+	// broken. Capacity pre-validation cannot see it.
+	for _, tag := range []int{1, 3} {
+		if err := s.Insert(tag, 900+tag); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LaneFabric(tag).Region("translation-table").Poke(tag, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs := []Request{{Tag: 0}, {Tag: 3}, {Tag: 2}, {Tag: 7}, {Tag: 1}, {Tag: 4}, {Tag: 6}, {Tag: 5}}
+	_, err := s.InsertBatch(reqs)
+	if !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("batch error %v, want one wrapping ErrCorrupt", err)
+	}
+	if !strings.Contains(err.Error(), "lane 1: insert tag 1") {
+		t.Errorf("batch error %q does not name lane 1, the lowest failing lane", err)
+	}
+	lens := s.LaneLens()
+	if lens[0] != 2 || lens[2] != 2 {
+		t.Errorf("healthy lanes hold %v, want two entries each in lanes 0 and 2", lens)
+	}
+	if lens[1] != 1 || lens[3] != 1 {
+		t.Errorf("failed lanes hold %v, want their batch stopped at the first insert", lens)
+	}
+	if want := lens[0] + lens[1] + lens[2] + lens[3]; s.Len() != want {
+		t.Errorf("Len %d after a failed batch, lanes hold %d", s.Len(), want)
+	}
+}
+
+// TestInsertBatchInterleavedWithExtracts alternates large batches with
+// extraction bursts: the heads a batch leaves behind must be the true
+// lane minima, round after round.
+func TestInsertBatchInterleavedWithExtracts(t *testing.T) {
 	s := mustNew(t, Config{Lanes: 8, LaneCapacity: 2048})
 	rng := rand.New(rand.NewSource(5))
 	payload := 0

@@ -1,7 +1,7 @@
 // Verification and debug ports of the translation table. Everything in
 // this file reads the entry memory through the uncounted Peek port: no
 // functional accesses are recorded, no cycles are charged, and the
-// fault-injection wrap on the functional Store seam is bypassed — these
+// fault observer on the functional Port is bypassed — these
 // are the silicon's dedicated observation ports, not datapath traffic.
 package transtable
 

@@ -1,8 +1,8 @@
 // Verification and debug ports of the search tree. Everything in this
 // file observes the physical node arrays through the per-level Peek
 // ports: no functional accesses are counted, no cycles are charged, and
-// any fault-injection wrap on the functional Store seam is bypassed —
-// the scrub engine reads the raw memory, exactly like the silicon's
+// the fault observer on the functional Port is bypassed — the scrub
+// engine reads the raw memory, exactly like the silicon's
 // dedicated verification port.
 package trie
 
