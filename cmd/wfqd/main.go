@@ -24,11 +24,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -39,6 +42,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"wfqsort/internal/admission"
 	"wfqsort/internal/engine"
@@ -174,7 +179,8 @@ type server struct {
 	gran    float64
 	start   time.Time
 	served  atomic.Uint64
-	ingests atomic.Uint64
+	ingests atomic.Uint64 // lines answered OK
+	runs    atomic.Uint64 // runs that carried at least one of them: ingests/runs is the mean batch
 	badLine atomic.Uint64
 	healthy atomic.Bool
 	// ingested flips on the first successfully admitted packet:
@@ -334,47 +340,119 @@ func newProgram(discipline string, weights []float64, capBps float64) (rank.Prog
 	}
 }
 
-// submitPacket ranks one (flow, sizeBytes) arrival with the configured
-// rank program, quantizes the rank into the sorter's tag space, and
-// submits it. The program is self-clocked: OnServe fires at submission,
-// matching the pre-seam SCFQ Tag-then-Serve behaviour — the engine's
-// merge stage, not the program, orders actual departures. Safe for
-// concurrent ingest paths.
-func (s *server) submitPacket(flow, sizeBytes int) (bool, error) {
-	if flow < 0 || flow >= s.cfg.flows {
-		return false, fmt.Errorf("wfqd: flow %d outside [0,%d)", flow, s.cfg.flows)
+// maxRun caps the arrivals ranked under one progLock hold and handed to
+// the engine as one batch, which bounds a connection's scratch and how
+// long it keeps other connections off the rank program.
+const maxRun = 1024
+
+// ingestRun is the unit of ingest work: the arrivals one socket read, one
+// trace chunk or one submitPacket call delivered. submitRun ranks them
+// under one progLock hold at one arrival instant and hands them to the
+// engine as one SubmitBatch. The slices are one goroutine's scratch,
+// allocated once by newRun and reused run after run.
+type ingestRun struct {
+	flows, sizes []int  // the arrivals, in arrival order
+	tags         []int  // their quantized ranks, written by submitRun
+	admitted     []bool // the engine's verdict on each, written by submitRun
+}
+
+func newRun(capacity int) ingestRun {
+	return ingestRun{
+		flows:    make([]int, 0, capacity),
+		sizes:    make([]int, 0, capacity),
+		tags:     make([]int, capacity),
+		admitted: make([]bool, capacity),
 	}
-	if sizeBytes <= 0 {
-		return false, fmt.Errorf("wfqd: size %d must be positive", sizeBytes)
-	}
+}
+
+func (r *ingestRun) add(flow, size int) {
+	r.flows = append(r.flows, flow)
+	r.sizes = append(r.sizes, size)
+}
+
+func (r *ingestRun) full() bool { return len(r.flows) == cap(r.flows) }
+
+func (r *ingestRun) reset() { r.flows, r.sizes = r.flows[:0], r.sizes[:0] }
+
+// from returns the run's arrivals from index i on, over the same scratch.
+func (r ingestRun) from(i int) ingestRun {
+	return ingestRun{flows: r.flows[i:], sizes: r.sizes[i:], tags: r.tags[i:], admitted: r.admitted[i:]}
+}
+
+// submitRun validates and ranks r's arrivals with the configured rank
+// program, quantizes each rank into the sorter's tag space, and submits
+// them as one engine batch. It stops at the first arrival that fails —
+// a flow or size out of range, a rank error, an engine error — and
+// returns that error with done, the number of arrivals before it;
+// r.admitted[i] for i < done says whether the engine admitted arrival i
+// or its policy shed it. The program is self-clocked: OnServe fires at
+// submission, arrival by arrival, matching the pre-seam SCFQ
+// Tag-then-Serve behaviour — the engine's merge stage, not the program,
+// orders actual departures. Safe for concurrent ingest paths, each with
+// its own run.
+func (s *server) submitRun(r ingestRun) (done int, err error) {
+	tagRange := s.eng.TagRange()
 	now := time.Since(s.start).Seconds()
-	p := packet.Packet{Flow: flow, Size: sizeBytes, Arrival: now}
+	ranked := 0
 	s.progLock.Lock()
-	r, err := s.prog.Rank(p, now)
-	if err == nil {
-		s.prog.OnServe(p, r, now)
+	for ; ranked < len(r.flows); ranked++ {
+		flow, size := r.flows[ranked], r.sizes[ranked]
+		if flow < 0 || flow >= s.cfg.flows {
+			err = fmt.Errorf("wfqd: flow %d outside [0,%d)", flow, s.cfg.flows)
+			break
+		}
+		if size <= 0 {
+			err = fmt.Errorf("wfqd: size %d must be positive", size)
+			break
+		}
+		p := packet.Packet{Flow: flow, Size: size, Arrival: now}
+		var rk rank.Ranked
+		if rk, err = s.prog.Rank(p, now); err != nil {
+			break
+		}
+		s.prog.OnServe(p, rk, now)
+		tag := int(rk.Rank/s.gran+0.5) % tagRange
+		if tag < 0 {
+			// LSTF slack can go negative for an already-late packet: wrap
+			// into the tag space the same way the modulo wraps large ranks.
+			tag += tagRange
+		}
+		r.tags[ranked] = tag
 	}
 	s.progLock.Unlock()
-	if err != nil {
+	if ranked == 0 {
+		return 0, err
+	}
+	done, serr := s.eng.SubmitBatch(r.tags[:ranked], r.flows[:ranked], r.admitted[:ranked])
+	if !s.ingested.Load() {
+		for _, ok := range r.admitted[:done] {
+			if ok {
+				s.ingested.Store(true)
+				break
+			}
+		}
+	}
+	if serr != nil {
+		return done, serr
+	}
+	return done, err
+}
+
+// submitPacket is the run of one arrival: rank, quantize and submit
+// (flow, sizeBytes), reporting whether the engine admitted it.
+func (s *server) submitPacket(flow, sizeBytes int) (bool, error) {
+	r := newRun(1)
+	r.add(flow, sizeBytes)
+	if _, err := s.submitRun(r); err != nil {
 		return false, err
 	}
-	tag := int(r.Rank/s.gran+0.5) % s.eng.TagRange()
-	if tag < 0 {
-		// LSTF slack can go negative for an already-late packet: wrap
-		// into the tag space the same way the modulo wraps large ranks.
-		tag += s.eng.TagRange()
-	}
-	return s.markIngest(s.eng.Submit(tag, flow))
+	return r.admitted[0], nil
 }
 
-// submitTag submits a pre-computed tag (synthetic load path).
+// submitTag submits a pre-computed tag (synthetic load path) and records
+// the first successfully admitted packet, the readiness gate.
 func (s *server) submitTag(tag, payload int) (bool, error) {
-	return s.markIngest(s.eng.Submit(tag, payload))
-}
-
-// markIngest records the first successfully admitted packet (the
-// readiness gate) and passes the Submit result through.
-func (s *server) markIngest(ok bool, err error) (bool, error) {
+	ok, err := s.eng.Submit(tag, payload)
 	if ok && err == nil {
 		s.ingested.Store(true)
 	}
@@ -418,42 +496,242 @@ func (s *server) runTrace(path string) error {
 	if err != nil {
 		return err
 	}
-	for _, p := range pkts {
-		flow := p.Flow % s.cfg.flows
-		if _, err := s.submitPacket(flow, p.Size); err != nil {
-			return fmt.Errorf("wfqd: packet %d: %w", p.ID, err)
+	r := newRun(maxRun)
+	for base := 0; base < len(pkts); base += len(r.flows) {
+		r.reset()
+		for _, p := range pkts[base:min(base+maxRun, len(pkts))] {
+			r.add(p.Flow%s.cfg.flows, p.Size)
+		}
+		if done, err := s.submitRun(r); err != nil {
+			return fmt.Errorf("wfqd: packet %d: %w", pkts[base+done].ID, err)
 		}
 	}
 	return nil
 }
 
-// serveIngest accepts "flow size_bytes" lines from one connection.
-func (s *server) serveIngest(conn net.Conn) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var flow, size int
-		if _, err := fmt.Sscanf(line, "%d %d", &flow, &size); err != nil {
-			s.badLine.Add(1)
-			fmt.Fprintf(conn, "ERR %v\n", err)
-			continue
-		}
-		ok, err := s.submitPacket(flow, size)
+// Ingest line grammar (README, socket ingest): parseLine accepts and
+// rejects exactly the lines that fmt's "%d %d" scan of the trimmed line
+// did in the per-line loop, and yields the same two integers
+// (parse_test.go holds that reference).
+var (
+	errNoArrival  = errors.New("blank or comment line") // never sent: such a line gets no reply
+	errLineSyntax = errors.New(`want "flow size_bytes"`)
+	errIntRange   = errors.New("integer out of range")
+	errLineLength = errors.New("line too long")
+)
+
+// skipSpace drops the leading white space of b: Unicode's White_Space
+// set, which is both what strings.TrimSpace trims and what fmt skips.
+func skipSpace(b []byte) []byte {
+	for len(b) > 0 {
+		c := b[0]
 		switch {
-		case err != nil:
-			s.badLine.Add(1)
-			fmt.Fprintf(conn, "ERR %v\n", err)
-		case !ok:
-			fmt.Fprintln(conn, "DROP")
+		case c == ' ' || ('\t' <= c && c <= '\r'):
+			b = b[1:]
+		case c < utf8.RuneSelf:
+			return b
 		default:
-			s.ingests.Add(1)
-			fmt.Fprintln(conn, "OK")
+			r, n := utf8.DecodeRune(b)
+			if !unicode.IsSpace(r) {
+				return b
+			}
+			b = b[n:]
 		}
 	}
+	return b
+}
+
+// scanInt reads fmt's %d from the front of b: optional white space, an
+// optional sign, one or more ASCII digits. A value outside int is an
+// error, never a wrap.
+func scanInt(b []byte) (v int, rest []byte, err error) {
+	b = skipSpace(b)
+	neg := false
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg = b[0] == '-'
+		b = b[1:]
+	}
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++
+	}
+	var u uint64
+	i := 0
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if u > limit/10 {
+			return 0, nil, errIntRange
+		}
+		if u = u*10 + uint64(b[i]-'0'); u > limit {
+			return 0, nil, errIntRange
+		}
+	}
+	if i == 0 {
+		return 0, nil, errLineSyntax
+	}
+	if neg {
+		return int(-u), b[i:], nil
+	}
+	return int(u), b[i:], nil
+}
+
+// parseLine reads one ingest line, with or without its newline. It
+// returns errNoArrival for a blank line or a # comment. Whatever follows
+// the second integer is ignored, as fmt's scan ignored it.
+func parseLine(line []byte) (flow, size int, err error) {
+	line = skipSpace(line)
+	if len(line) == 0 || line[0] == '#' {
+		return 0, 0, errNoArrival
+	}
+	flow, line, err = scanInt(line)
+	if err != nil {
+		return 0, 0, err
+	}
+	// The blank in "%d %d" stands for at least one.
+	if sep := skipSpace(line); len(sep) == len(line) {
+		return 0, 0, errLineSyntax
+	}
+	size, _, err = scanInt(line)
+	if err != nil {
+		return 0, 0, err
+	}
+	return flow, size, nil
+}
+
+const (
+	// maxLineBytes is the ingest reader's buffer: the longest line
+	// accepted, newline included, and the most one run can hold.
+	maxLineBytes = 64 << 10
+	// replyBufBytes holds a run's replies between flushes; a longer run
+	// flushes early, which only sends replies sooner.
+	replyBufBytes = 4 << 10
+)
+
+// ingestConn is one ingest connection's state: the buffered reader the
+// lines are parsed out of in place, the writer that coalesces replies,
+// and the scratch of the run being gathered.
+type ingestConn struct {
+	s   *server
+	br  *bufio.Reader
+	bw  *bufio.Writer
+	run ingestRun
+}
+
+// serveIngest accepts "flow size_bytes" lines from one connection and
+// answers each with OK, DROP or ERR <reason>, in line order. It works by
+// the run: the complete lines one read delivered are parsed, ranked
+// under one progLock hold, submitted as one engine batch and answered
+// with one write. Replies are flushed whenever no complete line remains
+// buffered — before any read that can block — so a client that waits for
+// an answer before sending more always gets it. A failed write ends the
+// connection: there is nobody left to answer.
+func (s *server) serveIngest(conn net.Conn) {
+	defer conn.Close()
+	newIngestConn(s, conn).serve()
+}
+
+func newIngestConn(s *server, conn net.Conn) *ingestConn {
+	return &ingestConn{
+		s:   s,
+		br:  bufio.NewReaderSize(conn, maxLineBytes),
+		bw:  bufio.NewWriterSize(conn, replyBufBytes),
+		run: newRun(maxRun),
+	}
+}
+
+func (c *ingestConn) serve() {
+	for {
+		if !c.lineBuffered() && !c.endRun() {
+			return
+		}
+		line, err := c.br.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) {
+			// The reply goes out before the discard, which reads (and may
+			// wait for) the rest of the line.
+			c.reject(errLineLength)
+			if !c.endRun() {
+				return
+			}
+			for errors.Is(err, bufio.ErrBufferFull) {
+				_, err = c.br.ReadSlice('\n')
+			}
+			continue
+		}
+		if len(line) == 0 { // EOF or a dead connection; a final line without its newline still counts
+			c.endRun()
+			return
+		}
+		flow, size, err := parseLine(line)
+		switch {
+		case err == errNoArrival:
+		case err != nil:
+			c.reject(err)
+		default:
+			c.run.add(flow, size)
+			if c.run.full() {
+				c.submit()
+			}
+		}
+	}
+}
+
+// lineBuffered reports whether the next ReadSlice can return a complete
+// line without reading from the connection.
+func (c *ingestConn) lineBuffered() bool {
+	buffered, _ := c.br.Peek(c.br.Buffered()) // cannot fail: it asks for no more than is there
+	return bytes.IndexByte(buffered, '\n') >= 0
+}
+
+// submit hands the gathered run to submitRun and writes its replies. An
+// arrival submitRun refuses splits the run: the ones before it are
+// answered, it gets its ERR, and the rest are submitted again.
+func (c *ingestConn) submit() {
+	if len(c.run.flows) == 0 {
+		return
+	}
+	oks := uint64(0)
+	for rest := c.run; len(rest.flows) > 0; {
+		done, err := c.s.submitRun(rest)
+		for _, ok := range rest.admitted[:done] {
+			if ok {
+				c.bw.WriteString("OK\n")
+				oks++
+			} else {
+				c.bw.WriteString("DROP\n")
+			}
+		}
+		if err == nil {
+			break
+		}
+		c.replyErr(err)
+		rest = rest.from(done + 1)
+	}
+	c.run.reset()
+	if oks > 0 {
+		c.s.ingests.Add(oks)
+		c.s.runs.Add(1)
+	}
+}
+
+// reject answers a line that never became an arrival. The arrivals
+// gathered before it are submitted first, so replies stay in line order.
+func (c *ingestConn) reject(err error) {
+	c.submit()
+	c.replyErr(err)
+}
+
+func (c *ingestConn) replyErr(err error) {
+	c.s.badLine.Add(1)
+	c.bw.WriteString("ERR ")
+	c.bw.WriteString(err.Error())
+	c.bw.WriteByte('\n')
+}
+
+// endRun submits what was gathered and flushes the replies; it reports
+// whether the peer is still there to read them. Write errors are sticky
+// in bufio.Writer, so the Flush result covers every reply since the last.
+func (c *ingestConn) endRun() bool {
+	c.submit()
+	return c.bw.Flush() == nil
 }
 
 // listenIngest opens the -ingest socket ("tcp:addr" or "unix:/path").
@@ -544,6 +822,7 @@ type statsPayload struct {
 	UptimeS   float64      `json:"uptime_s"`
 	Served    uint64       `json:"served"`
 	Ingested  uint64       `json:"ingested_lines"`
+	Runs      uint64       `json:"ingest_runs"`
 	BadLines  uint64       `json:"bad_lines"`
 	Flows     int          `json:"flows"`
 	WeightSum float64      `json:"weight_sum"`
@@ -566,6 +845,7 @@ func (s *server) statsPayload() statsPayload {
 		UptimeS:   time.Since(s.start).Seconds(),
 		Served:    s.served.Load(),
 		Ingested:  s.ingests.Load(),
+		Runs:      s.runs.Load(),
 		BadLines:  s.badLine.Load(),
 		Flows:     s.cfg.flows,
 		WeightSum: sum,
@@ -597,6 +877,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	emit("wfqd_uptime_seconds", "Wall-clock seconds since boot.", "gauge", time.Since(s.start).Seconds())
 	fmt.Fprintf(&b, "# HELP wfqd_discipline Rank program driving the tagger (info metric).\n# TYPE wfqd_discipline gauge\nwfqd_discipline{name=%q} 1\n", st.Label)
 	emit("wfqd_submitted_total", "Packets admitted into the submission rings.", "counter", float64(st.Submitted))
+	emit("wfqd_ingest_runs_total", "Socket runs handed to the engine as one batch (ingested_lines / ingest_runs in /stats.json is the mean batch).", "counter", float64(s.runs.Load()))
 	emit("wfqd_inserted_total", "Packets inserted into the sorter.", "counter", float64(st.Inserted))
 	emit("wfqd_extracted_total", "Packets served in tag order.", "counter", float64(st.Extracted))
 	emit("wfqd_drops_ring_total", "Tail drops at full submission rings.", "counter", float64(st.DropsRing))

@@ -3,12 +3,10 @@ package main
 import (
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func testConfig() config {
@@ -110,43 +108,6 @@ func TestHealthzAfterShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	httpGet(t, ts.URL+"/healthz", 503)
-}
-
-func TestIngestLineProtocol(t *testing.T) {
-	s := bootServer(t)
-	client, srv := net.Pipe()
-	go s.serveIngest(srv)
-	defer client.Close()
-
-	send := func(line string) string {
-		t.Helper()
-		client.SetDeadline(time.Now().Add(5 * time.Second))
-		if _, err := client.Write([]byte(line + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 256)
-		n, err := client.Read(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.TrimSpace(string(buf[:n]))
-	}
-
-	if got := send("1 1500"); got != "OK" {
-		t.Fatalf("valid line: %q", got)
-	}
-	if got := send("notanumber"); !strings.HasPrefix(got, "ERR") {
-		t.Fatalf("garbage line: %q", got)
-	}
-	if got := send("99 1500"); !strings.HasPrefix(got, "ERR") {
-		t.Fatalf("bad flow: %q", got)
-	}
-	if got := send("1 -5"); !strings.HasPrefix(got, "ERR") {
-		t.Fatalf("bad size: %q", got)
-	}
-	if s.ingests.Load() != 1 || s.badLine.Load() != 3 {
-		t.Fatalf("ingest counters: ok=%d bad=%d", s.ingests.Load(), s.badLine.Load())
-	}
 }
 
 func TestSyntheticWorkload(t *testing.T) {

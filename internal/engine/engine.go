@@ -57,6 +57,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -641,43 +642,62 @@ func (e *Engine) remapLane(tag int) (lane int, ok bool) {
 	return lane, false
 }
 
-// Submit offers one (tag, payload) to the engine from any goroutine. It
-// reports whether the submission was admitted: under PolicyDropTail and
-// PolicyRED an overloaded engine sheds load by returning (false, nil)
-// and counting the drop; under PolicyBlock it waits for ring space. The
-// error is non-nil only for invalid tags or a stopped engine.
-func (e *Engine) Submit(tag, payload int) (admitted bool, err error) {
+// enter registers one producer call (Submit, SubmitBatch, Cancel,
+// Reweight) with the in-flight group; on a nil return the caller owes
+// one subWG.Done. The stop flags are checked again after registering:
+// Stop waits on the group after setting the flag, so a call that
+// observes stopping false here is guaranteed to finish before the drain
+// scan. terminated/stopped are re-checked too — once the datapath has
+// died no lane will ever drain the rings, so an admitted push would be a
+// silently lost packet (Submitted != Inserted) behind a true return.
+func (e *Engine) enter() error {
 	if !e.started.Load() {
-		return false, ErrNotStarted
+		return ErrNotStarted
 	}
 	if e.stopping.Load() || e.terminated() || e.stopped() {
-		return false, ErrStopped
+		return ErrStopped
 	}
 	e.subWG.Add(1)
-	defer e.subWG.Done()
-	// Re-check after registering with the in-flight group: Stop waits on
-	// the group after setting the flag, so a Submit that observes
-	// stopping false here is guaranteed to finish before the drain scan.
-	// terminated/stopped are re-checked too — once the datapath has died
-	// no lane will ever drain the rings, so an admitted push would be a
-	// silently lost packet (Submitted != Inserted) behind a true return.
 	if e.stopping.Load() || e.terminated() || e.stopped() {
-		return false, ErrStopped
+		e.subWG.Done()
+		return ErrStopped
 	}
-	if tag < 0 || tag >= e.sorter.TagRange() {
-		return false, fmt.Errorf("engine: tag %d outside [0,%d)", tag, e.sorter.TagRange())
+	return nil
+}
+
+// wakeSet is the lanes a SubmitBatch call has pushed to and not yet
+// woken: bit i stands for lane i (Config.Validate caps lanes at 64).
+type wakeSet uint64
+
+// wakeAll rings every lane in the set and empties it.
+func (e *Engine) wakeAll(w *wakeSet) {
+	for ; *w != 0; *w &= *w - 1 {
+		e.lanes[bits.TrailingZeros64(uint64(*w))].wake()
 	}
-	lane, ok := e.remapLane(tag)
+}
+
+// admit is the one admission routine behind Submit and SubmitBatch: it
+// validates the tag, routes the item around quarantined lanes and
+// applies the backpressure policy. It returns the lane that took the
+// item, nil with a nil error when the policy shed it (the drop is
+// counted here), or the error that refused it. Counting Submitted and
+// waking the lane are left to the caller, which is what lets a batch do
+// each once. batch is nil for Submit; for SubmitBatch it is the call's
+// unwoken lanes, and the push is pinned (tryPush) to one shard per lane.
+func (e *Engine) admit(it item, batch *wakeSet) (*laneWorker, error) {
+	if it.tag < 0 || it.tag >= e.sorter.TagRange() {
+		return nil, fmt.Errorf("engine: tag %d outside [0,%d)", it.tag, e.sorter.TagRange())
+	}
+	lane, ok := e.remapLane(it.tag)
 	if !ok {
-		return false, fmt.Errorf("engine: all lanes quarantined: %w", ErrStopped)
+		return nil, fmt.Errorf("engine: all lanes quarantined: %w", ErrStopped)
 	}
 	lw := e.lanes[lane]
-	it := item{tag: tag, payload: payload, submitNs: time.Now().UnixNano()}
 	switch e.cfg.Policy {
 	case PolicyDropTail:
-		if !lw.tryPush(it) {
+		if !lw.tryPush(it, batch != nil) {
 			e.dropsRing.Add(1)
-			return false, nil
+			return nil, nil
 		}
 	case PolicyRED:
 		e.redMu.Lock()
@@ -685,28 +705,90 @@ func (e *Engine) Submit(tag, payload int) (admitted bool, err error) {
 		e.redMu.Unlock()
 		if !admit {
 			e.dropsRED.Add(1)
-			return false, nil
+			return nil, nil
 		}
-		if err := e.blockPush(lw, it); err != nil {
+		if err := e.blockPush(lw, it, batch); err != nil {
 			e.redDepart(1)
-			return false, err
+			return nil, err
 		}
 	default: // PolicyBlock
-		if err := e.blockPush(lw, it); err != nil {
-			return false, err
+		if err := e.blockPush(lw, it, batch); err != nil {
+			return nil, err
 		}
+	}
+	return lw, nil
+}
+
+// Submit offers one (tag, payload) to the engine from any goroutine. It
+// reports whether the submission was admitted: under PolicyDropTail and
+// PolicyRED an overloaded engine sheds load by returning (false, nil)
+// and counting the drop; under PolicyBlock it waits for ring space. The
+// error is non-nil only for invalid tags or a stopped engine.
+func (e *Engine) Submit(tag, payload int) (admitted bool, err error) {
+	if err := e.enter(); err != nil {
+		return false, err
+	}
+	defer e.subWG.Done()
+	lw, err := e.admit(item{tag: tag, payload: payload, submitNs: time.Now().UnixNano()}, nil)
+	if lw == nil {
+		return false, err
 	}
 	e.submitted.Add(1)
 	lw.wake()
 	return true, nil
 }
 
+// SubmitBatch offers tags[i], payloads[i] in index order as one producer
+// call: one in-flight registration, one stop check, one timestamp shared
+// by every item, one Submitted update and one wake-up per lane touched,
+// with each item admitted by the routine Submit uses. It stops at the
+// first item that fails with an error and returns that error with done,
+// the number of items before it; admitted[i] for i < done says whether
+// item i was admitted or shed by the policy, exactly as Submit's result
+// would. Items of one batch that share a tag are served in index order:
+// the batch keeps to one shard ring per lane, so under PolicyDropTail
+// it sees that shard's depth (RingSize/Shards), not the whole ring's.
+// The three slices must have equal length; the engine keeps none.
+func (e *Engine) SubmitBatch(tags, payloads []int, admitted []bool) (done int, err error) {
+	if len(payloads) != len(tags) || len(admitted) != len(tags) {
+		return 0, fmt.Errorf("engine: batch of %d tags, %d payloads, %d results", len(tags), len(payloads), len(admitted))
+	}
+	if err := e.enter(); err != nil {
+		return 0, err
+	}
+	defer e.subWG.Done()
+	now := time.Now().UnixNano()
+	var unwoken wakeSet
+	var n uint64
+	for ; done < len(tags); done++ {
+		lw, aerr := e.admit(item{tag: tags[done], payload: payloads[done], submitNs: now}, &unwoken)
+		if aerr != nil {
+			err = aerr
+			break
+		}
+		if admitted[done] = lw != nil; lw != nil {
+			unwoken |= 1 << uint(lw.idx)
+			n++
+		}
+	}
+	e.submitted.Add(n)
+	e.wakeAll(&unwoken)
+	return done, err
+}
+
 // blockPush waits for shard-ring space on lw: the producer-side
-// backpressure of PolicyBlock and an admitted PolicyRED packet.
-func (e *Engine) blockPush(lw *laneWorker, it item) error {
+// backpressure of PolicyBlock and an admitted PolicyRED packet. A batch
+// that has to wait first wakes the lanes it has pushed to: the merge
+// stage holds deliveries for a lane with ring items and nothing served,
+// so a lane left asleep on this call's earlier items could keep lw from
+// ever draining.
+func (e *Engine) blockPush(lw *laneWorker, it item, batch *wakeSet) error {
 	for {
-		if lw.tryPush(it) {
+		if lw.tryPush(it, batch != nil) {
 			return nil
+		}
+		if batch != nil {
+			e.wakeAll(batch)
 		}
 		select {
 		case <-lw.space:
@@ -754,17 +836,10 @@ func (e *Engine) Reweight(tag, payload, newTag int) (bool, error) {
 // ring refuses the request so a cancellation storm cannot wedge the
 // producer the way PolicyBlock admission can.
 func (e *Engine) submitControl(it item) (bool, error) {
-	if !e.started.Load() {
-		return false, ErrNotStarted
+	if err := e.enter(); err != nil {
+		return false, err
 	}
-	if e.stopping.Load() || e.terminated() || e.stopped() {
-		return false, ErrStopped
-	}
-	e.subWG.Add(1)
 	defer e.subWG.Done()
-	if e.stopping.Load() || e.terminated() || e.stopped() {
-		return false, ErrStopped
-	}
 	if it.tag < 0 || it.tag >= e.sorter.TagRange() {
 		return false, fmt.Errorf("engine: tag %d outside [0,%d)", it.tag, e.sorter.TagRange())
 	}

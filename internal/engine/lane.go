@@ -170,10 +170,14 @@ func (lw *laneWorker) pushControl(it item) bool {
 // question with one blocking lock on its start shard (distinguishing
 // transient contention, which retries elsewhere, from genuine
 // fullness, which must report false so the policy can drop or block).
-func (lw *laneWorker) tryPush(it item) bool {
+// A pinned push goes straight to that last step: the items of a batch
+// share one timestamp, hence one start shard, and staying in it is what
+// keeps them in order — the lane pops shards round-robin, so an item
+// that moved to the next shard could overtake its predecessors.
+func (lw *laneWorker) tryPush(it item, pinned bool) bool {
 	n := len(lw.shards)
 	start := int(uint64(it.submitNs) % uint64(n))
-	for d := 0; d < n; d++ {
+	for d := 0; d < n && !pinned; d++ {
 		sh := lw.shards[(start+d)%n]
 		if !sh.mu.TryLock() {
 			continue
